@@ -4,8 +4,8 @@
 //! FactorHD paper: trial runners for each method (FactorHD Rep 1–3, the
 //! resonator network, the IMC factorizer, the C-I model), wall-clock and
 //! operation accounting, a TH-sweep driver, and plain-text table/CSV
-//! output. The `src/bin/*` binaries print the paper's series; the
-//! `benches/*` Criterion targets track the same workloads at reduced sizes.
+//! output. The `src/bin/*` binaries print the paper's series and time
+//! the throughput workloads.
 //!
 //! Trials run data-parallel with `rayon`, standing in for the paper's
 //! batched GPU execution (DESIGN.md, substitution table).

@@ -46,8 +46,6 @@ const MODEL: &str = "bench";
 /// spot, so a saturated server dispatches the batches the reference
 /// measures.
 const MAX_BATCH: usize = 64;
-/// Dispatch deadline for a batch that never fills.
-const MAX_DELAY: Duration = Duration::from_millis(1);
 /// Concurrent client connections the grid sweeps.
 pub const CLIENT_GRID: [usize; 4] = [1, 2, 4, 8];
 /// In-flight requests per client connection (burst depth) the grid
@@ -69,7 +67,7 @@ pub struct ServingPoint {
     /// Server-side end-to-end latency summary (nanoseconds; zeros when
     /// the metrics gate is off).
     pub latency: HistogramSummary,
-    /// Engine batches the adaptive batcher dispatched.
+    /// Engine batches the batcher dispatched.
     pub batches_dispatched: u64,
     /// Mean coalesced batch size (requests ÷ batches).
     pub mean_coalesced: f64,
@@ -222,7 +220,6 @@ fn measure_point(
         ServerConfig {
             batcher: BatcherConfig {
                 max_batch: MAX_BATCH,
-                max_delay: MAX_DELAY,
                 ..BatcherConfig::default()
             },
             ..ServerConfig::default()
@@ -346,7 +343,6 @@ fn measure_overload(
         ServerConfig {
             batcher: BatcherConfig {
                 max_batch: MAX_BATCH,
-                max_delay: MAX_DELAY,
                 // One batch of queue: everything beyond it sheds.
                 max_queue: MAX_BATCH,
             },
@@ -535,10 +531,6 @@ pub fn serving_json(report: &ServingReport, quick: bool) -> String {
         ("cpu_features", JsonValue::Str(hdc::kernels::cpu_features())),
         ("available_cores", JsonValue::Uint(available_cores as u64)),
         ("max_batch", JsonValue::Uint(MAX_BATCH as u64)),
-        (
-            "max_delay_us",
-            JsonValue::Uint(MAX_DELAY.as_micros() as u64),
-        ),
         (
             "metrics_recording",
             JsonValue::Bool(factorhd_engine::metrics::metrics_recording()),

@@ -28,7 +28,7 @@
 //! |------|-------------------|
 //! | `engine/op_panic` | panics inside per-op batch execution (contained into [`crate::EngineError::OpPanicked`]); tag = [`crate::AnyOp::chaos_tag`] |
 //! | `engine/artifact_partial_write` | `save_model` writes a torn temp file and errors before the atomic rename, simulating a crash mid-save |
-//! | `serve/batcher_stall` | the adaptive batcher sleeps before dispatching, letting chaos tests fill the admission queue deterministically |
+//! | `serve/batcher_stall` | the batcher sleeps before dispatching, letting chaos tests fill the admission queue deterministically |
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicIsize, Ordering};

@@ -37,9 +37,6 @@
 //!   bit-identical to the in-memory model. Version 2 also round-trips
 //!   the packed shard tables of installed codebooks, so loaded models
 //!   serve word-level scans warm from the first request.
-//! * **Legacy shim** ([`shim`]): the old closed `Request`/`Response`
-//!   enum pair survives as a deprecated shim implemented on the typed
-//!   ops, bit-identical to them (proptest-pinned).
 //!
 //! # Quickstart
 //!
@@ -106,7 +103,6 @@ mod model;
 pub mod ops;
 mod plan;
 mod registry;
-pub mod shim;
 
 pub use cache::{CacheStats, LruCache, ReconCache};
 pub use engine::FactorEngine;
@@ -126,8 +122,6 @@ pub use factorhd_learn::{
     ClassHit, Classification, LearnConfig, LearnError, Learner, PrototypeModel, PrototypeSnapshot,
     RetrainReport, TrainAck,
 };
-#[allow(deprecated)]
-pub use shim::{Request, Response};
 
 /// Convenient glob import of the serving-engine types.
 pub mod prelude {

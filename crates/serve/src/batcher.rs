@@ -1,20 +1,18 @@
-//! The deadline-or-full adaptive batcher: coalesces in-flight requests
-//! from many connections into engine batches.
+//! The work-conserving batcher: coalesces in-flight requests from many
+//! connections into engine batches.
 //!
 //! Requests enqueue into a shared queue; a dedicated worker thread
-//! dispatches the queue to [`ModelRegistry::execute_batch`] when either
-//! trigger fires, whichever comes first:
+//! drains it into [`ModelRegistry::execute_batch`]. Whenever the worker
+//! is idle and the queue is not empty, it takes everything queued, up
+//! to `max_batch`, and dispatches at once — no request ever waits for
+//! company while the engine sits idle.
 //!
-//! * **full** — the queue holds `max_batch` requests, or
-//! * **deadline** — the oldest queued request has waited `max_delay`.
-//!
-//! Bigger coalesced batches are strictly better warm (the engine's
-//! planner groups same-shape ops into contiguous packed-shard scans),
-//! so under load the batcher converges on full `max_batch` dispatches;
-//! under trickle traffic the deadline bounds each request's queueing
-//! delay. Shutdown flushes: every queued request is dispatched (in
-//! `max_batch` chunks) before the worker exits, so no accepted request
-//! is ever dropped.
+//! Batches still grow under load, because requests pile up while the
+//! previous batch executes, and bigger batches are cheaper per op warm
+//! (the engine's planner groups same-shape ops into contiguous
+//! packed-shard scans). `max_batch` is only a cap. Shutdown flushes:
+//! every queued request is dispatched (in `max_batch` chunks) before
+//! the worker exits, so no accepted request is ever dropped.
 //!
 //! Two robustness policies live here (docs/ROBUSTNESS.md):
 //!
@@ -31,7 +29,7 @@
 //!
 //! The queue uses `std::sync` primitives (the vendored `parking_lot`
 //! shim has no condvar) — one mutex + condvar pair, with the worker
-//! sleeping on `wait_timeout` until the oldest request's deadline.
+//! sleeping on the condvar while the queue is empty.
 //! Lock poisoning is recovered (`into_inner`): the queue is plain data
 //! that stays structurally valid, and the batcher must keep serving
 //! even if a thread panicked while holding the lock.
@@ -41,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use factorhd_engine::{failpoint, AnyOp, EngineError, ModelId, ModelRegistry};
 
@@ -49,31 +47,26 @@ use crate::error::ErrorCode;
 use crate::metrics::ServeMetrics;
 use crate::protocol::Response;
 
-/// Knobs for the deadline-or-full dispatch policy.
+/// Knobs for the work-conserving dispatch policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatcherConfig {
-    /// Dispatch as soon as this many requests are queued. `1` degrades
-    /// to pass-through (every request is its own engine batch).
+    /// Cap on one engine batch: the idle worker takes at most this many
+    /// queued requests at once. `1` degrades to pass-through (every
+    /// request is its own engine batch).
     pub max_batch: usize,
-    /// Dispatch when the oldest queued request has waited this long,
-    /// even if the batch is not full. `Duration::ZERO` dispatches on
-    /// every enqueue.
-    pub max_delay: Duration,
-    /// Admission bound: [`Batcher::submit`] refuses
-    /// ([`SubmitOutcome::Overloaded`]) while this many requests are
-    /// already queued. Sized in requests, not bytes — the queue holds
-    /// decoded ops, so the byte bound is `max_queue × max_frame_bytes`.
+    /// Admission bound: new requests are refused with a typed
+    /// `Overloaded` error while this many requests are already queued.
+    /// Sized in requests, not bytes — the queue holds decoded ops, so
+    /// the byte bound is `max_queue × max_frame_bytes`.
     pub max_queue: usize,
 }
 
 impl Default for BatcherConfig {
     /// `max_batch` 64 (the warm sweet spot in BENCH_engine.json),
-    /// `max_delay` 2 ms, `max_queue` 1024 (16 full batches of headroom
-    /// before shedding).
+    /// `max_queue` 1024 (16 full batches of headroom before shedding).
     fn default() -> Self {
         BatcherConfig {
             max_batch: 64,
-            max_delay: Duration::from_millis(2),
             max_queue: 1024,
         }
     }
@@ -102,7 +95,7 @@ pub(crate) struct Pending {
     /// Client-chosen request id, echoed in the response.
     pub request_id: u64,
     /// When the request's frame finished decoding (anchors both the
-    /// dispatch deadline and the end-to-end latency histogram).
+    /// request's deadline budget and the end-to-end latency histogram).
     pub received_at: Instant,
     /// Absolute expiry (the wire budget anchored at `received_at`);
     /// `None` means the request waits as long as it takes.
@@ -169,10 +162,7 @@ impl Batcher {
             wake: Condvar::new(),
             config: BatcherConfig {
                 max_batch: config.max_batch.max(1),
-                max_delay: config.max_delay,
-                // The queue must hold at least one full batch or the
-                // full trigger could never fire.
-                max_queue: config.max_queue.max(config.max_batch.max(1)),
+                ..config
             },
         });
         let dispatched = Arc::new(AtomicU64::new(0));
@@ -202,8 +192,8 @@ impl Batcher {
             return SubmitOutcome::Overloaded;
         }
         queue.pending.push_back(pending);
-        // Wake the worker: it either dispatches (batch now full) or
-        // re-arms its deadline timer for the new oldest request.
+        // Wake the worker if it is idle; a busy worker finds this
+        // request queued when its current batch completes.
         self.shared.wake.notify_one();
         SubmitOutcome::Accepted
     }
@@ -245,37 +235,17 @@ fn worker_loop(
     dispatched: &AtomicU64,
 ) {
     let max_batch = shared.config.max_batch;
-    let max_delay = shared.config.max_delay;
     loop {
         let batch: Vec<Pending> = {
             let mut queue = shared.lock_queue();
-            loop {
-                if queue.pending.len() >= max_batch || queue.shutdown {
-                    break;
-                }
-                match queue.pending.front() {
-                    None => {
-                        queue = shared
-                            .wake
-                            .wait(queue)
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    }
-                    Some(oldest) => {
-                        let deadline = oldest.received_at + max_delay;
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        let (guard, _) = shared
-                            .wake
-                            .wait_timeout(queue, deadline - now)
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
-                        queue = guard;
-                    }
-                }
+            while queue.pending.is_empty() && !queue.shutdown {
+                queue = shared
+                    .wake
+                    .wait(queue)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
             if queue.pending.is_empty() {
-                debug_assert!(queue.shutdown, "woke with empty queue outside shutdown");
+                // Shut down and fully flushed.
                 return;
             }
             let take = queue.pending.len().min(max_batch);
@@ -354,22 +324,23 @@ fn engine_error_code(err: &EngineError) -> ErrorCode {
     }
 }
 
-/// The result of draining one reply receiver after `n` submissions.
-#[cfg(test)]
-fn expect_outputs(rx: &mpsc::Receiver<Outgoing>, n: usize) -> Vec<Outgoing> {
-    (0..n)
-        .map(|_| {
-            rx.recv_timeout(Duration::from_secs(10))
-                .expect("response within timeout")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use factorhd_core::TaxonomyBuilder;
+    use factorhd_engine::failpoint::FailMode;
     use factorhd_engine::{EncodeScene, EngineConfig, ModelState};
+    use std::time::Duration;
+
+    /// The result of draining one reply receiver after `n` submissions.
+    fn expect_outputs(rx: &mpsc::Receiver<Outgoing>, n: usize) -> Vec<Outgoing> {
+        (0..n)
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(10))
+                    .expect("response within timeout")
+            })
+            .collect()
+    }
 
     fn test_registry() -> Arc<ModelRegistry> {
         let registry = Arc::new(ModelRegistry::new());
@@ -415,93 +386,127 @@ mod tests {
             .expect("spawn batcher worker")
     }
 
-    /// Full trigger: `max_batch` requests with a far-off deadline
-    /// dispatch as one batch, without waiting out the delay.
-    #[test]
-    fn full_batch_dispatches_without_deadline() {
-        let registry = test_registry();
-        let batcher = batcher(
-            &registry,
-            BatcherConfig {
-                max_batch: 4,
-                max_delay: Duration::from_secs(3600),
-                max_queue: 4096,
-            },
-        );
-        let op = encode_op(&registry);
-        let (tx, rx) = mpsc::channel();
-        let start = Instant::now();
-        for id in 0..4 {
-            assert_eq!(
-                batcher.submit(pending(&op, id, &tx)),
-                SubmitOutcome::Accepted
-            );
-        }
-        let replies = expect_outputs(&rx, 4);
-        assert!(
-            start.elapsed() < Duration::from_secs(600),
-            "dispatch must not wait out the one-hour deadline"
-        );
-        assert_eq!(batcher.batches_dispatched(), 1, "one coalesced batch");
-        let mut ids: Vec<u64> = replies.iter().map(|o| o.request_id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
-        for reply in &replies {
-            assert!(matches!(reply.response, Response::Output(_)));
+    /// Serializes the tests that arm the (process-global)
+    /// `serve/batcher_stall` failpoint.
+    static STALL_FAILPOINT: Mutex<()> = Mutex::new(());
+
+    fn stall_lock() -> std::sync::MutexGuard<'static, ()> {
+        STALL_FAILPOINT
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Blocks until the worker has drained the queue (it is then
+    /// stalled or executing what it took).
+    fn wait_until_drained(batcher: &Batcher) {
+        while !batcher.shared.lock_queue().pending.is_empty() {
+            thread::yield_now();
         }
     }
 
-    /// Deadline trigger: a lone request dispatches once `max_delay`
-    /// elapses, even though the batch never fills.
+    /// Work conservation: a lone request on an idle worker is answered
+    /// with no further submission and no shutdown, as its own batch.
     #[test]
-    fn lone_request_dispatches_at_deadline() {
+    fn idle_worker_dispatches_lone_request() {
         let registry = test_registry();
         let batcher = batcher(
             &registry,
             BatcherConfig {
                 max_batch: 64,
-                max_delay: Duration::from_millis(20),
                 max_queue: 4096,
             },
         );
         let op = encode_op(&registry);
         let (tx, rx) = mpsc::channel();
-        let submitted = Instant::now();
         assert_eq!(
             batcher.submit(pending(&op, 42, &tx)),
             SubmitOutcome::Accepted
         );
         let reply = expect_outputs(&rx, 1).pop().expect("one reply");
-        assert!(
-            submitted.elapsed() >= Duration::from_millis(20),
-            "lone request must wait for the deadline, not dispatch eagerly"
-        );
         assert_eq!(reply.request_id, 42);
         assert!(matches!(reply.response, Response::Output(_)));
+        assert_eq!(batcher.batches_dispatched(), 1);
     }
 
-    /// Shutdown flush: requests still queued (deadline far away, batch
-    /// not full) are all dispatched before the worker exits.
+    /// Coalescing under load: `max_batch` requests that arrive while the
+    /// worker is busy with a first request go out together as the next
+    /// batch.
     #[test]
-    fn shutdown_flushes_queued_requests() {
+    fn requests_queued_while_busy_coalesce() {
+        let _guard = stall_lock();
         let registry = test_registry();
+        failpoint::arm(
+            "serve/batcher_stall",
+            FailMode::Sleep(Duration::from_millis(100)),
+        );
+        let max_batch = 8;
         let batcher = batcher(
             &registry,
             BatcherConfig {
-                max_batch: 64,
-                max_delay: Duration::from_secs(3600),
+                max_batch,
                 max_queue: 4096,
             },
         );
         let op = encode_op(&registry);
         let (tx, rx) = mpsc::channel();
-        for id in 0..5 {
+        assert_eq!(
+            batcher.submit(pending(&op, 0, &tx)),
+            SubmitOutcome::Accepted
+        );
+        wait_until_drained(&batcher);
+        for id in 1..=max_batch as u64 {
+            assert_eq!(
+                batcher.submit(pending(&op, id, &tx)),
+                SubmitOutcome::Accepted
+            );
+        }
+        let replies = expect_outputs(&rx, max_batch + 1);
+        failpoint::disarm("serve/batcher_stall");
+        assert_eq!(
+            batcher.batches_dispatched(),
+            2,
+            "lone request, then one full batch"
+        );
+        let mut ids: Vec<u64> = replies.iter().map(|o| o.request_id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..=max_batch as u64).collect::<Vec<_>>());
+        for reply in &replies {
+            assert!(matches!(reply.response, Response::Output(_)));
+        }
+    }
+
+    /// Shutdown flush: requests still queued behind a stalled worker are
+    /// all dispatched before the worker exits.
+    #[test]
+    fn shutdown_flushes_queued_requests() {
+        let _guard = stall_lock();
+        let registry = test_registry();
+        failpoint::arm(
+            "serve/batcher_stall",
+            FailMode::Sleep(Duration::from_millis(50)),
+        );
+        let batcher = batcher(
+            &registry,
+            BatcherConfig {
+                max_batch: 64,
+                max_queue: 4096,
+            },
+        );
+        let op = encode_op(&registry);
+        let (tx, rx) = mpsc::channel();
+        assert_eq!(
+            batcher.submit(pending(&op, 0, &tx)),
+            SubmitOutcome::Accepted
+        );
+        wait_until_drained(&batcher);
+        for id in 1..5 {
             assert_eq!(
                 batcher.submit(pending(&op, id, &tx)),
                 SubmitOutcome::Accepted
             );
         }
         batcher.shutdown();
+        failpoint::disarm("serve/batcher_stall");
         let mut ids: Vec<u64> = expect_outputs(&rx, 5)
             .iter()
             .map(|o| o.request_id)
@@ -524,7 +529,6 @@ mod tests {
             &registry,
             BatcherConfig {
                 max_batch: 1,
-                max_delay: Duration::from_secs(3600),
                 max_queue: 4096,
             },
         );
@@ -554,7 +558,6 @@ mod tests {
             &registry,
             BatcherConfig {
                 max_batch: 1,
-                max_delay: Duration::ZERO,
                 max_queue: 4096,
             },
         );
@@ -573,25 +576,18 @@ mod tests {
     /// Admission control: with the worker stalled, submissions beyond
     /// `max_queue` are refused as `Overloaded`, and every accepted
     /// request is still answered once the stall clears.
-    /// Serializes the tests that arm the (process-global)
-    /// `serve/batcher_stall` failpoint.
-    static STALL_FAILPOINT: Mutex<()> = Mutex::new(());
-
     #[test]
     fn queue_at_capacity_refuses_overloaded() {
-        let _guard = STALL_FAILPOINT
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let _guard = stall_lock();
         let registry = test_registry();
         failpoint::arm(
             "serve/batcher_stall",
-            factorhd_engine::failpoint::FailMode::Sleep(Duration::from_millis(100)),
+            FailMode::Sleep(Duration::from_millis(100)),
         );
         let batcher = batcher(
             &registry,
             BatcherConfig {
                 max_batch: 2,
-                max_delay: Duration::ZERO,
                 max_queue: 3,
             },
         );
@@ -625,19 +621,16 @@ mod tests {
     /// a fresh one in the same batch still runs.
     #[test]
     fn expired_deadline_is_answered_at_dequeue() {
-        let _guard = STALL_FAILPOINT
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let _guard = stall_lock();
         let registry = test_registry();
         failpoint::arm(
             "serve/batcher_stall",
-            factorhd_engine::failpoint::FailMode::Sleep(Duration::from_millis(30)),
+            FailMode::Sleep(Duration::from_millis(30)),
         );
         let batcher = batcher(
             &registry,
             BatcherConfig {
                 max_batch: 2,
-                max_delay: Duration::ZERO,
                 max_queue: 4096,
             },
         );

@@ -12,12 +12,14 @@
 //!   [`AnyOp`](factorhd_engine::AnyOp); responses are bit-identical
 //!   round trips of [`AnyOutput`](factorhd_engine::AnyOutput) (floats
 //!   travel as IEEE-754 bit patterns).
-//! * **Adaptive batcher** ([`BatcherConfig`]): in-flight requests from
-//!   all connections coalesce into one queue, dispatched to
-//!   [`ModelRegistry::execute_batch`](factorhd_engine::ModelRegistry::execute_batch)
-//!   when the batch is full (`max_batch`) or the oldest request has
-//!   waited `max_delay`, whichever comes first. Responses scatter back
-//!   to their connections by request id.
+//! * **Work-conserving batcher** ([`BatcherConfig`]): in-flight requests
+//!   from all connections coalesce into one queue. Whenever the engine
+//!   lane is idle, everything queued (up to `max_batch`) is dispatched
+//!   at once to
+//!   [`ModelRegistry::execute_batch`](factorhd_engine::ModelRegistry::execute_batch);
+//!   under load, batches grow from the requests that queue up while the
+//!   previous batch runs. Responses scatter back to their connections by
+//!   request id.
 //! * **Server & client** ([`Server`], [`Client`]): one reader and one
 //!   writer thread per connection; `Stats` and `Ping` ops answered
 //!   inline; graceful shutdown that answers every accepted request.

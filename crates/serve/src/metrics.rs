@@ -61,7 +61,7 @@ pub struct ServingStats {
     /// Frames that failed to decode (answered with a typed protocol
     /// error when the request id could be salvaged).
     pub protocol_errors: u64,
-    /// Engine batches the adaptive batcher has dispatched.
+    /// Engine batches the batcher has dispatched.
     pub batches_dispatched: u64,
     /// Distribution of coalesced engine-batch sizes.
     pub coalesced_batch: HistogramSummary,

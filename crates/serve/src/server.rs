@@ -1,5 +1,5 @@
 //! The threaded TCP server: accept loop, per-connection reader/writer
-//! threads, and the shared adaptive batcher.
+//! threads, and the shared batcher.
 //!
 //! # Thread anatomy
 //!
@@ -76,7 +76,7 @@ const CONNECTION_BUFFER_BYTES: usize = 1 << 16;
 /// Server knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// The adaptive batcher's dispatch policy.
+    /// The batcher's batch cap and admission bound.
     pub batcher: BatcherConfig,
     /// Per-frame payload cap; oversized frames close the connection.
     pub max_frame_bytes: usize,

@@ -362,7 +362,6 @@ fn overloaded_queue_sheds_typed_and_recovers() {
     let server = start_server(ServerConfig {
         batcher: BatcherConfig {
             max_batch: 2,
-            max_delay: Duration::ZERO,
             max_queue: 2,
         },
         ..ServerConfig::default()

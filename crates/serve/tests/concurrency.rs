@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use factorhd_core::{Encoder, Scene, Taxonomy, TaxonomyBuilder};
 use factorhd_engine::{
@@ -132,7 +131,6 @@ fn loopback_responses_match_direct_execute_batch() {
             ServerConfig {
                 batcher: BatcherConfig {
                     max_batch: 16,
-                    max_delay: Duration::from_millis(1),
                     ..BatcherConfig::default()
                 },
                 ..ServerConfig::default()
@@ -216,7 +214,6 @@ fn pipelined_burst_matches_direct_and_coalesces() {
         ServerConfig {
             batcher: BatcherConfig {
                 max_batch: 16,
-                max_delay: Duration::from_millis(5),
                 ..BatcherConfig::default()
             },
             ..ServerConfig::default()

@@ -103,7 +103,6 @@ fn responses_under_hot_swap_are_old_or_new_never_blended() {
         ServerConfig {
             batcher: BatcherConfig {
                 max_batch: 8,
-                max_delay: Duration::from_millis(1),
                 ..BatcherConfig::default()
             },
             ..ServerConfig::default()
@@ -134,13 +133,22 @@ fn responses_under_hot_swap_are_old_or_new_never_blended() {
             });
         }
 
+        let swapped = &swapped;
         let workers: Vec<_> = streams
             .iter()
             .map(|ops| {
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("client connects");
                     ops.iter()
-                        .map(|op| {
+                        .enumerate()
+                        .map(|(i, op)| {
+                            // The second half waits for the swap, so every
+                            // client sends ops on both sides of it.
+                            if i == OPS_PER_CLIENT / 2 {
+                                while !swapped.load(Ordering::SeqCst) {
+                                    thread::yield_now();
+                                }
+                            }
                             client
                                 .run("m", op)
                                 .expect("no response may be an error during a hot swap")

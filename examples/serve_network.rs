@@ -1,6 +1,6 @@
 //! The network front end, end to end on loopback: start a [`Server`]
 //! over a two-model registry, run typed ops through a [`Client`] —
-//! one-at-a-time and as a pipelined burst the adaptive batcher
+//! one-at-a-time and as a pipelined burst the batcher
 //! coalesces — hot-swap a model under live traffic, read the serving
 //! telemetry over the wire, and shut down cleanly.
 //!
@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. The same ops as one pipelined burst: a single write carries
-    //    all twelve requests, and the server's adaptive batcher
+    //    all twelve requests, and the server's batcher
     //    coalesces them into engine batches.
     let outputs = client.run_pipelined("zoo", &ops)?;
     let ok = outputs.iter().filter(|r| r.is_ok()).count();

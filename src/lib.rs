@@ -20,8 +20,8 @@
 //!   `Train`/`Retrain`/`Classify` ops (docs/LEARNING.md).
 //! * [`serve`] — the network front end: a threaded TCP server speaking a
 //!   length-prefixed, checksummed binary protocol over the typed op API,
-//!   with a deadline-or-full adaptive batcher coalescing requests from
-//!   many connections into engine batches (docs/SERVING.md, "Network
+//!   with a work-conserving batcher coalescing requests from many
+//!   connections into engine batches (docs/SERVING.md, "Network
 //!   front end").
 //! * [`baselines`] — the comparison systems from the paper's evaluation
 //!   (resonator network, IMC stochastic factorizer, class-instance model).
