@@ -19,7 +19,7 @@
 
 use crate::{Encoder, FactorHdError, ItemPath, ObjectSpec, Scene, Taxonomy, ThresholdPolicy};
 use hdc::stage::{Stage, StageTimer};
-use hdc::{AccumHv, Bind, BipolarHv, CodebookScan, Similarity, TernaryHv};
+use hdc::{AccumHv, Bind, BipolarHv, CodebookScan, PackedHv, Similarity, TernaryHv};
 use std::sync::Arc;
 
 /// Builds the per-class label-elimination masks
@@ -237,10 +237,11 @@ struct Combo {
 /// [`Factorizer::with_parts`]).
 ///
 /// Every codebook scan — the level-1 arg-max, the hierarchy descent, and
-/// the Rep-3 threshold selection — routes through the codebooks' packed
-/// shard tables ([`hdc::CodebookScan`]) whenever the query has a lossless
-/// word-level form, with results bit-identical to the scalar reference
-/// scans.
+/// the Rep-3 threshold selection — runs on the query packed once into
+/// sign-plus-magnitude-planes form ([`hdc::PackedHv::from_accum`], exact
+/// for any accumulator) and routes through the codebooks' packed shard
+/// tables ([`hdc::CodebookScan`]), with results bit-identical to the
+/// scalar reference scans.
 ///
 /// ```
 /// use factorhd_core::{Encoder, FactorizeConfig, Factorizer, Scene, TaxonomyBuilder};
@@ -418,29 +419,22 @@ impl<'a> Factorizer<'a> {
     /// call, per-query results **bit-identical** to the one-at-a-time
     /// loop.
     ///
-    /// When every query has a lossless ternary form (any single-object
-    /// scene does), the level-1 codebook scans run grouped through
+    /// The level-1 codebook scans run grouped through
     /// [`hdc::CodebookScan::scan_top_k_many`]: each codebook's packed
     /// shard table is traversed once per batch instead of once per query,
     /// which is what a serving planner buys by grouping requests of the
-    /// same kind. Queries without a lossless form (or any dimension
-    /// mismatch in the batch) fall back to the per-query path, still
-    /// returning one `Result` per input in input order.
+    /// same kind. A dimension mismatch anywhere in the batch falls back to
+    /// the per-query path, still returning one `Result` per input in
+    /// input order.
     pub fn factorize_single_many(
         &self,
         hvs: &[&AccumHv],
     ) -> Vec<Result<DecodedObject, FactorHdError>> {
-        let mut ternaries = Vec::with_capacity(hvs.len());
-        for hv in hvs {
-            if hv.dim() != self.taxonomy.dim() {
-                return self.factorize_single_fallback(hvs);
-            }
-            match hv.to_ternary_lossless() {
-                Some(t) => ternaries.push(t),
-                None => return self.factorize_single_fallback(hvs),
-            }
+        if hvs.iter().any(|hv| hv.dim() != self.taxonomy.dim()) {
+            return self.factorize_single_fallback(hvs);
         }
-        match self.decode_singles_grouped(&ternaries) {
+        let packed: Vec<PackedHv> = hvs.iter().map(|hv| PackedHv::from_accum(hv)).collect();
+        match self.decode_singles_grouped(&packed) {
             Ok(decoded) => decoded.into_iter().map(Ok).collect(),
             // Structurally unreachable for a built taxonomy; fall back so
             // the error lands on the query that caused it.
@@ -456,13 +450,13 @@ impl<'a> Factorizer<'a> {
         hvs.iter().map(|hv| self.factorize_single(hv)).collect()
     }
 
-    /// Grouped decode over lossless ternary queries: classes in the outer
-    /// loop, so each level-1 codebook is scanned once for the whole batch
+    /// Grouped decode over packed queries: classes in the outer loop, so
+    /// each level-1 codebook is scanned once for the whole batch
     /// ([`hdc::CodebookScan::scan_top_k_many`]); the NULL check and the
     /// per-query beam descent reuse the exact per-query code path.
     fn decode_singles_grouped(
         &self,
-        queries: &[TernaryHv],
+        queries: &[PackedHv],
     ) -> Result<Vec<DecodedObject>, FactorHdError> {
         let _span = StageTimer::enter(Stage::Rerank);
         let width = self.config.refine_width.max(1);
@@ -472,12 +466,12 @@ impl<'a> Factorizer<'a> {
             .map(|_| Vec::with_capacity(self.taxonomy.num_classes()))
             .collect();
         for class in 0..self.taxonomy.num_classes() {
-            let unbound: Vec<TernaryHv> = queries
+            let unbound: Vec<PackedHv> = queries
                 .iter()
                 .map(|q| q.bind(&self.unbind_keys[class]))
                 .collect();
             let top = self.taxonomy.codebook(class, &[])?;
-            let hits_many = TernaryHv::scan_top_k_many(&top, &unbound, width);
+            let hits_many = PackedHv::scan_top_k_many(&top, &unbound, width);
             for ((q, hits), decodes) in unbound.iter().zip(&hits_many).zip(&mut per_query) {
                 decodes.push(self.decode_class_from_hits(q, class, hits, &mut stats)?);
             }
@@ -560,35 +554,19 @@ impl<'a> Factorizer<'a> {
     /// beam is the paper's plain greedy arg-max descent; wider beams
     /// combine evidence across levels).
     ///
-    /// When every component of `hv` lies in `{-1, 0, 1}` (any
-    /// single-object scene), the query is routed through its lossless
-    /// ternary view so every codebook scan runs on the packed shard
-    /// tables ([`hdc::CodebookScan`]) — bit-identical results, an order
-    /// of magnitude fewer scalar operations. Scan hits land in buffers
-    /// reused across classes and levels
-    /// ([`hdc::CodebookScan::scan_top_k_into`]), so a warm decode's scans
-    /// allocate nothing.
+    /// `hv` is packed once ([`PackedHv::from_accum`]; a single-object
+    /// scene packs to one magnitude plane) and every codebook scan runs
+    /// on the packed shard tables ([`hdc::CodebookScan`]) — bit-identical
+    /// results at popcount speed. Scan hits land in buffers reused across
+    /// classes and levels ([`hdc::CodebookScan::scan_top_k_into`]), so a
+    /// warm decode's scans allocate nothing.
     fn decode_classes(
         &self,
         hv: &AccumHv,
         classes: &[usize],
         stats: &mut FactorizeStats,
     ) -> Result<Vec<ClassDecode>, FactorHdError> {
-        match hv.to_ternary_lossless() {
-            Some(ternary) => self.decode_classes_in(&ternary, classes, stats),
-            None => self.decode_classes_in(hv, classes, stats),
-        }
-    }
-
-    fn decode_classes_in<Q>(
-        &self,
-        hv: &Q,
-        classes: &[usize],
-        stats: &mut FactorizeStats,
-    ) -> Result<Vec<ClassDecode>, FactorHdError>
-    where
-        Q: CodebookScan + Bind<BipolarHv, Output = Q>,
-    {
+        let hv = PackedHv::from_accum(hv);
         let width = self.config.refine_width.max(1);
         let mut result = Vec::with_capacity(classes.len());
         let mut top_hits: Vec<hdc::SearchHit> = Vec::new();
@@ -608,16 +586,13 @@ impl<'a> Factorizer<'a> {
     /// paths: NULL detection against the level-1 winners, then the beam
     /// descent through the subclass levels. `top_hits` are the query's
     /// level-1 scan results for `class` (already counted in `stats`).
-    fn decode_class_from_hits<Q>(
+    fn decode_class_from_hits(
         &self,
-        unbound: &Q,
+        unbound: &PackedHv,
         class: usize,
         top_hits: &[hdc::SearchHit],
         stats: &mut FactorizeStats,
-    ) -> Result<ClassDecode, FactorHdError>
-    where
-        Q: CodebookScan,
-    {
+    ) -> Result<ClassDecode, FactorHdError> {
         let width = self.config.refine_width.max(1);
         let best_sim = top_hits.first().expect("non-empty codebook").sim;
 
@@ -707,36 +682,23 @@ impl<'a> Factorizer<'a> {
     /// One iteration of the Algorithm-1 loop: find the strongest object in
     /// `residual`, or `None` when nothing clears `th`.
     ///
-    /// Routed through the lossless ternary view when the residual's
-    /// components fit `{-1, 0, 1}` (single-object scenes and late
-    /// reconstruct-and-exclude iterations) — see
-    /// [`AccumHv::to_ternary_lossless`].
+    /// The residual is packed once per iteration into sign-plus-planes
+    /// form ([`PackedHv::from_accum`]: two planes for a two- or
+    /// three-object bundle, one once the residual is ternary, none once
+    /// it is fully peeled), and the level-1 scans, NULL checks, descent
+    /// scans, combination tests and the final acceptance test all run on
+    /// that packed residual.
     fn find_one_object(
         &self,
         residual: &AccumHv,
         th: f64,
         stats: &mut FactorizeStats,
     ) -> Result<Option<DecodedObject>, FactorHdError> {
-        match residual.to_ternary_lossless() {
-            Some(ternary) => self.find_one_object_in(&ternary, residual, th, stats),
-            None => self.find_one_object_in(residual, residual, th, stats),
-        }
-    }
-
-    fn find_one_object_in<Q>(
-        &self,
-        query: &Q,
-        residual: &AccumHv,
-        th: f64,
-        stats: &mut FactorizeStats,
-    ) -> Result<Option<DecodedObject>, FactorHdError>
-    where
-        Q: CodebookScan + Bind<BipolarHv, Output = Q>,
-    {
         let f = self.taxonomy.num_classes();
+        let query = PackedHv::from_accum(residual);
 
         // Per-class label elimination (computed once per loop iteration).
-        let unbound: Vec<Q> = (0..f)
+        let unbound: Vec<PackedHv> = (0..f)
             .map(|i| {
                 stats.unbind_ops += 1;
                 query.bind(&self.unbind_keys[i])
@@ -783,7 +745,7 @@ impl<'a> Factorizer<'a> {
         }
 
         // Level-1 combination tests.
-        let mut beam = self.test_combinations(query, &per_class, th, stats);
+        let mut beam = self.test_combinations(&query, &per_class, th, stats);
         if beam.is_empty() {
             return Ok(None);
         }
@@ -795,7 +757,7 @@ impl<'a> Factorizer<'a> {
         for level in 1..max_depth {
             let mut next_beam: Vec<Combo> = Vec::new();
             for combo in &beam {
-                let refined = self.descend_combo(query, &unbound, combo, level, th, stats)?;
+                let refined = self.descend_combo(&query, &unbound, combo, level, th, stats)?;
                 next_beam.extend(refined);
             }
             if next_beam.is_empty() {
@@ -815,7 +777,7 @@ impl<'a> Factorizer<'a> {
             let object = ObjectSpec::new(assignments);
             let reconstruction = self.reconstruct(&object)?;
             let rho = reconstruction.density().max(f64::MIN_POSITIVE);
-            let accept_sim = residual.sim_ternary(&reconstruction) / rho;
+            let accept_sim = query.sim(&PackedHv::from_ternary(&reconstruction)) / rho;
             stats.combination_tests += 1;
             if accept_sim >= self.config.accept_threshold {
                 return Ok(Some(DecodedObject {
@@ -830,10 +792,10 @@ impl<'a> Factorizer<'a> {
     /// Expands one beam entry one level deeper: candidate children per
     /// refinable class (similarity > `th` against that class's unbound
     /// vector), then combination re-testing.
-    fn descend_combo<Q: CodebookScan>(
+    fn descend_combo(
         &self,
-        residual: &Q,
-        unbound: &[Q],
+        residual: &PackedHv,
+        unbound: &[PackedHv],
         combo: &Combo,
         level: usize,
         th: f64,
@@ -841,7 +803,7 @@ impl<'a> Factorizer<'a> {
     ) -> Result<Vec<Combo>, FactorHdError> {
         let mut per_class: Vec<Vec<Candidate>> = Vec::with_capacity(combo.slots.len());
         // One hits buffer reused across classes, scanned through the
-        // explicitly sequential `_into` route (see `find_one_object_in`).
+        // explicitly sequential `_into` route (see `find_one_object`).
         let mut hits: Vec<hdc::SearchHit> = Vec::new();
         for (class, slot) in combo.slots.iter().enumerate() {
             if slot.exhausted || slot.path.is_none() {
@@ -882,9 +844,9 @@ impl<'a> Factorizer<'a> {
 
     /// Binds one candidate per class and keeps combinations whose product
     /// similarity to `residual` clears `th`, sorted by similarity.
-    fn test_combinations<Q: Similarity>(
+    fn test_combinations(
         &self,
-        residual: &Q,
+        residual: &PackedHv,
         per_class: &[Vec<Candidate>],
         th: f64,
         stats: &mut FactorizeStats,
@@ -1295,9 +1257,9 @@ mod tests {
 
     #[test]
     fn ternary_fast_path_is_bit_identical() {
-        // Single-object scenes take the lossless ternary route; forcing the
-        // accumulator route by adding a zero vector (values still equal)
-        // must give identical decodes, sims, and stats.
+        // Single-object scenes pack to one magnitude plane (the ternary
+        // mask); doubling the scene packs the same pattern onto plane 1
+        // and must give identical decodes and stats.
         let t = deep_taxonomy(2048);
         let enc = Encoder::new(&t);
         let fac = Factorizer::new(&t, FactorizeConfig::default());
@@ -1305,9 +1267,8 @@ mod tests {
         for _ in 0..10 {
             let obj = t.sample_object(&mut rng);
             let hv = enc.encode_scene(&Scene::single(obj)).unwrap();
-            assert!(hv.to_ternary_lossless().is_some(), "fast path available");
             let mut doubled = hv.clone();
-            doubled.scale(2); // components in {-2, 0, 2}: accum route
+            doubled.scale(2); // components in {-2, 0, 2}: two planes
             let (fast, fast_stats) = fac.factorize_single_traced(&hv).unwrap();
             let (slow, slow_stats) = fac.factorize_single_traced(&doubled).unwrap();
             // Doubling scales every dot by 2, so sims scale but the argmax
@@ -1345,9 +1306,10 @@ mod tests {
 
     #[test]
     fn factorize_single_many_falls_back_per_query() {
-        // A non-lossless accumulator (components outside {-1, 0, 1}) and a
-        // wrong-dimension query both take the per-query path: results and
-        // errors land on the right inputs.
+        // A multi-plane accumulator (components outside {-1, 0, 1}) decodes
+        // like its one-plane original, and a wrong-dimension query sends
+        // the batch down the per-query path: results and errors land on
+        // the right inputs.
         let t = flat_taxonomy(3, 8, 1024);
         let enc = Encoder::new(&t);
         let fac = Factorizer::new(&t, FactorizeConfig::default());

@@ -4,39 +4,65 @@
 //! once the process is warm. The tables are statically allocated
 //! atomics, so a record is one or two relaxed adds; this test proves it
 //! with a counting global allocator, the same technique as the hdc scan
-//! steady-state test.
-//!
-//! This file holds exactly one test so no sibling test thread can
-//! allocate concurrently and blur the measurement.
+//! steady-state test: only allocations made on the measuring thread
+//! count, so no other thread of the test process can blur the
+//! measurement.
 
 use factorhd_engine::metrics::{self, Stage, StageTimer};
 use factorhd_engine::OpKind;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Delegates to the system allocator, counting every allocation and
-/// reallocation (deallocations are free to happen — the invariant under
-/// test is "no new memory", not "no memory").
+/// reallocation made **on a thread inside [`measured`]** (deallocations
+/// are free to happen — the invariant under test is "no new memory", not
+/// "no memory"). Allocations by other threads of the test process — the
+/// test harness's own main thread, say — are not the code under test and
+/// do not count.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set while this thread runs the measured rounds. `const`-initialized
+    /// and destructor-free, so reading it from inside the allocator never
+    /// allocates or re-enters it.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_if_measuring() {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Runs `f` with this thread's allocations counted, returning how many
+/// it made.
+fn measured(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    MEASURING.with(|m| m.set(true));
+    f();
+    MEASURING.with(|m| m.set(false));
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
 
 // SAFETY: pure delegation to `System`, which upholds the `GlobalAlloc`
 // contract; the counter is a side effect invisible to allocation
 // semantics.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_if_measuring();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_if_measuring();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_if_measuring();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -86,16 +112,16 @@ fn steady_state_metric_recording_performs_zero_heap_allocations() {
         record_round(round);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for round in 0..25 {
-        record_round(round);
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    // Every record primitive runs on the calling thread, so counting this
+    // thread's allocations sees all of them.
+    let allocations = measured(|| {
+        for round in 0..25 {
+            record_round(round);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
-        "steady-state metric recording must not allocate (saw {} allocations over 25 rounds)",
-        after - before
+        allocations, 0,
+        "steady-state metric recording must not allocate (saw {allocations} allocations over 25 rounds)"
     );
 
     // The allocation-free rounds really recorded (27 rounds total since

@@ -247,22 +247,6 @@ impl AccumHv {
         Ok(AccumHv { data, dim })
     }
 
-    /// The exact ternary view of this accumulator when every component
-    /// already lies in `{-1, 0, 1}` (true for any single-object scene and
-    /// for fully-peeled Rep-3 residuals), `None` otherwise.
-    ///
-    /// The conversion is lossless, so similarity kernels running on the
-    /// returned [`TernaryHv`] produce bit-identical integer dot products
-    /// while replacing per-component scalar loops with word-level
-    /// popcounts — the fast path the factorizer takes when it can.
-    pub fn to_ternary_lossless(&self) -> Option<TernaryHv> {
-        if self.data.iter().any(|&v| !(-1..=1).contains(&v)) {
-            return None;
-        }
-        let comps: Vec<i8> = self.data.iter().map(|&v| v as i8).collect();
-        Some(TernaryHv::from_components(&comps).expect("dim > 0 by construction"))
-    }
-
     /// Clips to `{-1, 0, 1}` by sign, the FactorHD clause normalization.
     pub fn clip_ternary(&self) -> TernaryHv {
         let comps: Vec<i8> = self.data.iter().map(|&v| v.signum() as i8).collect();
@@ -534,28 +518,6 @@ mod tests {
         assert_eq!(AccumHv::from_le_bytes(6, &bytes).unwrap(), acc);
         assert!(AccumHv::from_le_bytes(0, &[]).is_err());
         assert!(AccumHv::from_le_bytes(6, &bytes[1..]).is_err());
-    }
-
-    #[test]
-    fn ternary_lossless_view() {
-        let small = AccumHv::from_components(vec![1, -1, 0, 1]);
-        let t = small.to_ternary_lossless().expect("in range");
-        let comps: Vec<i8> = t.iter().collect();
-        assert_eq!(comps, vec![1, -1, 0, 1]);
-        assert_eq!(t.to_accum(), small);
-        let big = AccumHv::from_components(vec![1, 2, 0]);
-        assert!(big.to_ternary_lossless().is_none());
-    }
-
-    #[test]
-    fn ternary_lossless_sims_match_accum_sims() {
-        let mut rng = rng_from_seed(35);
-        let a = BipolarHv::random(500, &mut rng);
-        let b = BipolarHv::random(500, &mut rng);
-        let acc = a.bundle(&b).clip_ternary().to_accum();
-        let t = acc.to_ternary_lossless().expect("clipped values");
-        let probe = BipolarHv::random(500, &mut rng);
-        assert_eq!(acc.dot_bipolar(&probe), t.dot_bipolar(&probe));
     }
 
     #[test]

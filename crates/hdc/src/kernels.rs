@@ -7,7 +7,8 @@
 //! * [`ScanKernel::hamming_words`] — `Σ popcount(a[i] ^ b[i])`, the
 //!   dense-query scan kernel;
 //! * [`ScanKernel::masked_hamming_words`] —
-//!   `Σ popcount((s[i] ^ w[i]) & m[i])`, the ternary-query scan kernel.
+//!   `Σ popcount((s[i] ^ w[i]) & m[i])`, the scan kernel for a query with
+//!   magnitude planes, run once per plane (a ternary query has one).
 //!
 //! This module compiles every implementation the target architecture
 //! admits and picks the fastest one the *running* CPU supports, once, at

@@ -11,17 +11,19 @@
 //! * [`BipolarHv`] — dense `{-1, +1}` vectors stored as packed sign bits
 //!   (one bit per dimension). Binding is XOR, dot products are popcounts.
 //! * [`TernaryHv`] — `{-1, 0, +1}` vectors stored as two bit planes
-//!   (a non-zero mask plane and a sign plane). FactorHD clips single-object
-//!   clause bundles into this space ("2 bits per dimension" in the paper).
+//!   (a non-zero mask plane and a sign plane; the mask is omitted when no
+//!   component is zero). FactorHD clips single-object clause bundles into
+//!   this space ("2 bits per dimension" in the paper).
 //! * [`AccumHv`] — integer vectors (`i32` per dimension) used for
 //!   unclipped bundles of multiple objects, which the paper keeps in `Z^D`.
 //!
 //! On top of these, the packed scan backend ([`PackedHv`],
 //! [`PackedShards`], [`CodebookScan`]) re-lays codebooks out as contiguous
-//! sharded `u64` word tables so that every similarity scan — the
-//! dominating cost of FactorHD's label elimination and factorization —
-//! runs as word-parallel XOR/popcount kernels, bit-identical to the
-//! scalar reference arithmetic. The inner popcount loops themselves are
+//! sharded `u64` word tables and holds every query — integer accumulators
+//! included, as a sign plane plus magnitude bit-planes — in word form, so
+//! that every similarity scan — the dominating cost of FactorHD's label
+//! elimination and factorization — runs as word-parallel XOR/popcount
+//! kernels, bit-identical to the scalar reference arithmetic. The inner popcount loops themselves are
 //! runtime-dispatched ([`kernels`]): hardware `POPCNT`, AVX2, and
 //! AVX-512 `vpopcntq` implementations are selected by CPU detection at
 //! first use (forcible via the `FACTORHD_KERNEL` environment variable),
@@ -106,6 +108,17 @@ pub(crate) fn tail_mask(dim: usize) -> u64 {
         u64::MAX
     } else {
         (1u64 << rem) - 1
+    }
+}
+
+/// Word `i` of an all-ones plane for a vector of logical length `dim`:
+/// every bit, except the padding of the last word.
+#[inline]
+pub(crate) fn full_word(dim: usize, i: usize) -> u64 {
+    if i + 1 == words_for(dim) {
+        tail_mask(dim)
+    } else {
+        u64::MAX
     }
 }
 

@@ -1,14 +1,17 @@
-//! Packed-word scan backend: hypervectors as `u64` sign/mask planes and
-//! codebooks as contiguous sharded word tables.
+//! Packed-word scan backend: hypervectors as `u64` sign and magnitude
+//! bit-planes, and codebooks as contiguous sharded word tables.
 //!
 //! Every recognition step in FactorHD is a scan `sim(V1, V2) = V1 · V2 / D`
 //! of one query against a codebook (PAPER.md §II-A, §III). The types here
-//! make that scan run at word speed end to end:
+//! make that scan run at word speed end to end, for every query type:
 //!
 //! * [`PackedHv`] — an owned query in packed form: one sign bit per
-//!   dimension plus an optional non-zero mask plane, so both bipolar and
-//!   ternary queries share the same XOR/popcount kernels for dot, Hamming
-//!   distance, and binding.
+//!   dimension plus the component magnitudes as bit-planes (none for a
+//!   bipolar vector, one non-zero mask for a ternary one, `k` weighted
+//!   planes for an integer accumulator). Dot products, Hamming distance
+//!   and binding all run on XOR/popcount kernels, and the accumulator
+//!   form is exact: a multi-object Rep-3 residual scans as
+//!   `L1 − 2·Σ_p 2^p · popcount((sign ^ item) & plane_p)`.
 //! * [`PackedQuery`] — a borrowed word-level view of a query; obtained via
 //!   [`AsPackedQuery`] from [`BipolarHv`], [`TernaryHv`] or [`PackedHv`]
 //!   without copying.
@@ -18,9 +21,10 @@
 //!   [`PackedShards::dots`]) run a bounded heap per shard and
 //!   rayon-parallelize across shards once the table is large enough to
 //!   amortize the fork.
-//! * [`CodebookScan`] — the routing trait the factorizer layers use: query
-//!   types with a lossless packed form scan through [`PackedShards`],
-//!   while integer accumulators fall back to the scalar reference path.
+//! * [`CodebookScan`] — the routing trait the factorizer layers use:
+//!   word-level query types scan through [`PackedShards`] directly, and
+//!   integer accumulators are packed with [`PackedHv::from_accum`] first,
+//!   so no query type scans on the scalar reference path.
 //!
 //! The inner XOR-popcount loops are not hard-coded: every dot product
 //! goes through the [`crate::kernels`] dispatch layer, which picks the
@@ -43,7 +47,9 @@ use crate::codebook::{Codebook, SearchHit};
 use crate::kernels::{self, ScanKernel};
 use crate::sim::Similarity;
 use crate::stage::{Stage, StageTimer};
-use crate::{clear_padding, words_for, AccumHv, BipolarHv, HdcError, TernaryHv};
+use crate::{
+    clear_padding, full_word, words_for, AccumHv, Bind, BipolarHv, HdcError, TernaryHv, WORD_BITS,
+};
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::fmt;
@@ -75,8 +81,8 @@ struct ScanScratch {
     heap_lens: Vec<usize>,
     /// Candidate buffer for single-query top-k and threshold scans.
     cand: Vec<(i64, usize)>,
-    /// Per-query non-zero counts for the multi-query scan.
-    nonzero: Vec<i64>,
+    /// Per-query L1 weights for the multi-query scan.
+    weights: Vec<i64>,
 }
 
 thread_local! {
@@ -158,12 +164,15 @@ fn sort_candidates(cand: &mut [(i64, usize)]) {
 /// A borrowed word-level view of a scan query.
 ///
 /// `sign` holds one bit per dimension (set ⇔ the component is negative);
-/// `mask`, when present, marks non-zero components (ternary queries).
-/// A missing mask means the query is dense (every component is `±1`).
+/// `planes`, when present, holds the component magnitudes as bit-planes,
+/// plane-major: plane `p` occupies `planes[p * W .. (p + 1) * W]` for `W`
+/// words per vector and weighs `2^p`. A missing `planes` means the query
+/// is dense (every component is `±1`); a present one with no planes is
+/// the all-zero vector; one plane is a ternary non-zero mask.
 #[derive(Clone, Copy)]
 pub struct PackedQuery<'a> {
     sign: &'a [u64],
-    mask: Option<&'a [u64]>,
+    planes: Option<&'a [u64]>,
     dim: usize,
 }
 
@@ -174,37 +183,49 @@ impl<'a> PackedQuery<'a> {
         self.dim
     }
 
-    /// Number of non-zero components (`D` for a dense query).
+    /// The query's L1 weight `Σ |v_i|` — the non-zero count for bipolar
+    /// and ternary queries (`D` for a dense one).
     #[inline]
-    pub fn nonzero_count(&self) -> usize {
-        match self.mask {
-            None => self.dim,
-            Some(mask) => mask.iter().map(|w| w.count_ones() as usize).sum(),
+    pub fn l1_weight(&self) -> i64 {
+        match self.planes {
+            None => self.dim as i64,
+            Some(planes) => planes
+                .chunks_exact(self.sign.len())
+                .enumerate()
+                .map(|(p, plane)| {
+                    let ones: i64 = plane.iter().map(|w| w.count_ones() as i64).sum();
+                    ones << p
+                })
+                .sum(),
         }
     }
 
     /// Exact integer dot product against one item's packed sign words,
-    /// given the query's precomputed non-zero count and the scan kernel
-    /// to run the popcount loop on (hoisted out of the per-item loop by
-    /// every scan entry point).
+    /// given the query's precomputed L1 weight and the scan kernel to run
+    /// the popcount loops on (both hoisted out of the per-item loop by
+    /// every scan entry point):
+    /// `L1 − 2·Σ_p 2^p · popcount((sign ^ item) & plane_p)`.
     #[inline]
-    fn dot_words(&self, item: &[u64], nonzero: i64, kernel: &ScanKernel) -> i64 {
-        let neg = match self.mask {
-            None => kernel.hamming_words(self.sign, item),
-            Some(mask) => kernel.masked_hamming_words(self.sign, mask, item),
+    fn dot_words(&self, item: &[u64], weight: i64, kernel: &ScanKernel) -> i64 {
+        let neg = match self.planes {
+            None => kernel.hamming_words(self.sign, item) as i64,
+            Some(planes) => planes
+                .chunks_exact(self.sign.len())
+                .enumerate()
+                .map(|(p, plane)| (kernel.masked_hamming_words(self.sign, plane, item) as i64) << p)
+                .sum(),
         };
-        nonzero - 2 * neg as i64
+        weight - 2 * neg
     }
 }
 
 /// Borrowing conversion into the packed scan form.
 ///
-/// Implemented by every query representation whose dot products against
-/// bipolar items reduce losslessly to word-parallel popcounts. [`AccumHv`]
-/// deliberately does **not** implement this: general integer bundles have
-/// no packed form, so they take the scalar reference path (or are routed
-/// through [`AccumHv::to_ternary_lossless`] first when their components
-/// fit `{-1, 0, 1}`).
+/// Implemented by every query representation that is already stored as
+/// word planes, so the view costs no copy. [`AccumHv`] stores `i32`
+/// components instead: it is packed into an owned [`PackedHv`] with
+/// [`PackedHv::from_accum`] (which is what its [`CodebookScan`] impl
+/// does) and viewed from there.
 pub trait AsPackedQuery {
     /// This query's borrowed word-level view.
     fn packed_query(&self) -> PackedQuery<'_>;
@@ -214,7 +235,7 @@ impl AsPackedQuery for BipolarHv {
     fn packed_query(&self) -> PackedQuery<'_> {
         PackedQuery {
             sign: self.words(),
-            mask: None,
+            planes: None,
             dim: self.dim(),
         }
     }
@@ -224,7 +245,7 @@ impl AsPackedQuery for TernaryHv {
     fn packed_query(&self) -> PackedQuery<'_> {
         PackedQuery {
             sign: self.sign_words(),
-            mask: Some(self.mask_words()),
+            planes: self.mask_words(),
             dim: self.dim(),
         }
     }
@@ -234,23 +255,34 @@ impl AsPackedQuery for PackedHv {
     fn packed_query(&self) -> PackedQuery<'_> {
         PackedQuery {
             sign: &self.sign,
-            mask: self.mask.as_deref(),
+            planes: self.planes.as_deref(),
             dim: self.dim,
         }
     }
 }
 
 /// An owned hypervector in packed scan form: sign bits in `u64` words plus
-/// an optional non-zero mask plane.
+/// the component magnitudes as bit-planes.
 ///
-/// This is the representation every codebook scan runs on. Dense vectors
-/// (`{-1, +1}^D`) carry no mask; ternary vectors (`{-1, 0, +1}^D`) carry
-/// one. Dot products, Hamming distances, and binding are word-parallel
-/// XOR/popcount kernels either way, and agree exactly with the scalar
-/// reference arithmetic on [`BipolarHv`] / [`TernaryHv`].
+/// This is the representation every codebook scan runs on, and it holds
+/// any integer vector exactly:
+///
+/// * dense vectors (`{-1, +1}^D`) store no planes at all;
+/// * ternary vectors (`{-1, 0, +1}^D`) store one plane, the non-zero mask;
+/// * integer accumulators store `⌈log2(max|v_i| + 1)⌉` planes, plane `p`
+///   weighing `2^p` — two planes for a bundle of two or three objects;
+/// * the all-zero vector stores zero planes and is **not** dense.
+///
+/// Dot products against bipolar items are
+/// `L1 − 2·Σ_p 2^p · popcount((sign ^ item) & plane_p)` on the dispatched
+/// popcount kernels, exact integers that agree bit-for-bit with the
+/// scalar reference arithmetic on [`BipolarHv`] / [`TernaryHv`] /
+/// [`AccumHv`]. The form is canonical (no all-zero top plane, sign bits
+/// clear under zero components, a full single plane stored as dense), so
+/// equal vectors compare equal whatever their construction route.
 ///
 /// ```
-/// use hdc::{Bind, BipolarHv, PackedHv};
+/// use hdc::{AccumHv, Bind, BipolarHv, PackedHv, Similarity};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -263,49 +295,111 @@ impl AsPackedQuery for PackedHv {
 /// assert_eq!(pa.dot(&pb), a.dot(&b));
 /// assert_eq!(pa.hamming(&pb), a.hamming(&b));
 /// assert_eq!(pa.bind(&pb).dot(&pa), a.bind(&b).dot(&a));
+///
+/// // A two-object bundle packs losslessly into two magnitude planes.
+/// let mut bundle = AccumHv::zeros(1000);
+/// bundle.add_bipolar(&a, 1);
+/// bundle.add_bipolar(&b, 1);
+/// let packed = PackedHv::from_accum(&bundle);
+/// assert_eq!(packed.num_planes(), 2);
+/// assert_eq!(packed.sim_to(&a), bundle.sim_to(&a));
+/// assert_eq!(packed.bind(&b).sim_to(&a), bundle.bind(&b).sim_to(&a));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct PackedHv {
-    /// Bit set ⇔ component is negative (only meaningful under the mask).
+    /// Bit set ⇔ component is negative (clear under zero components).
     sign: Vec<u64>,
-    /// Bit set ⇔ component is non-zero; `None` ⇔ fully dense.
-    mask: Option<Vec<u64>>,
+    /// Magnitude bit-planes, plane-major (plane `p` weighs `2^p`);
+    /// `None` ⇔ fully dense.
+    planes: Option<Vec<u64>>,
     dim: usize,
 }
 
 impl PackedHv {
-    /// Packs a dense bipolar vector (no mask plane).
+    /// Packs a dense bipolar vector (no magnitude planes).
     pub fn from_bipolar(hv: &BipolarHv) -> Self {
         PackedHv {
             sign: hv.words().to_vec(),
-            mask: None,
+            planes: None,
             dim: hv.dim(),
         }
     }
 
-    /// Packs a ternary vector. A ternary vector with no zero components
-    /// canonicalizes to the dense (maskless) form, so equal logical
-    /// vectors compare equal regardless of their construction route.
+    /// Packs a ternary vector: its non-zero mask becomes the single
+    /// magnitude plane (canonicalized to the dense form when no component
+    /// is zero, and to zero planes when every component is).
     pub fn from_ternary(hv: &TernaryHv) -> Self {
-        if hv.nonzero_count() == hv.dim() {
-            return PackedHv {
+        match hv.mask_words() {
+            None => PackedHv {
                 sign: hv.sign_words().to_vec(),
-                mask: None,
+                planes: None,
                 dim: hv.dim(),
+            },
+            Some(mask) => PackedHv::canonical(hv.sign_words().to_vec(), mask.to_vec(), hv.dim()),
+        }
+    }
+
+    /// Packs an integer accumulator losslessly: one sign plane plus the
+    /// bit-planes of `|v_i|`, as many as the largest magnitude needs (up
+    /// to 32, for a component at `i32::MIN`). A ternary-valued
+    /// accumulator packs to exactly [`PackedHv::from_ternary`]'s form.
+    pub fn from_accum(hv: &AccumHv) -> Self {
+        PackedHv::pack(hv.components(), |v| (v < 0, v.unsigned_abs() as u64))
+    }
+
+    /// Packs integer `values` given each one's (negative, magnitude)
+    /// parts: a sign plane plus as many magnitude bit-planes as the
+    /// largest magnitude needs.
+    fn pack<T: Copy>(values: &[T], parts: impl Fn(T) -> (bool, u64)) -> Self {
+        let words = words_for(values.len());
+        let span = values.iter().fold(0u64, |acc, &v| acc | parts(v).1);
+        let num_planes = (u64::BITS - span.leading_zeros()) as usize;
+        let mut sign = vec![0u64; words];
+        let mut planes = vec![0u64; num_planes * words];
+        for (w, chunk) in values.chunks(WORD_BITS).enumerate() {
+            for (b, &v) in chunk.iter().enumerate() {
+                sign[w] |= (parts(v).0 as u64) << b;
+            }
+            for p in 0..num_planes {
+                let mut word = 0u64;
+                for (b, &v) in chunk.iter().enumerate() {
+                    word |= (parts(v).1 >> p & 1) << b;
+                }
+                planes[p * words + w] = word;
+            }
+        }
+        PackedHv::canonical(sign, planes, values.len())
+    }
+
+    /// Assembles the canonical form from a sign plane and magnitude
+    /// planes: all-zero top planes are dropped, sign bits are cleared
+    /// under zero components, and a single plane covering every
+    /// dimension becomes the dense form.
+    fn canonical(mut sign: Vec<u64>, mut planes: Vec<u64>, dim: usize) -> Self {
+        let words = sign.len();
+        while planes.len() >= words && planes[planes.len() - words..].iter().all(|&w| w == 0) {
+            planes.truncate(planes.len() - words);
+        }
+        if planes.len() == words && (0..words).all(|i| planes[i] == full_word(dim, i)) {
+            clear_padding(&mut sign, dim);
+            return PackedHv {
+                sign,
+                planes: None,
+                dim,
             };
         }
-        PackedHv {
-            sign: hv.sign_words().to_vec(),
-            mask: Some(hv.mask_words().to_vec()),
-            dim: hv.dim(),
+        for (i, s) in sign.iter_mut().enumerate() {
+            *s &= planes
+                .iter()
+                .skip(i)
+                .step_by(words)
+                .fold(0, |acc, &w| acc | w);
         }
-    }
-
-    /// Packs an integer accumulator whose components all lie in
-    /// `{-1, 0, 1}`, or `None` when any component is out of range (the
-    /// packed form would be lossy).
-    pub fn from_accum_lossless(hv: &AccumHv) -> Option<Self> {
-        hv.to_ternary_lossless().map(|t| PackedHv::from_ternary(&t))
+        PackedHv {
+            sign,
+            planes: Some(planes),
+            dim,
+        }
     }
 
     /// The dimensionality `D`.
@@ -314,19 +408,86 @@ impl PackedHv {
         self.dim
     }
 
-    /// `true` when every component is `±1` (no mask plane).
+    /// `true` when every component is `±1` (no magnitude planes). The
+    /// all-zero vector is **not** dense: it has zero planes.
     #[inline]
     pub fn is_dense(&self) -> bool {
-        self.mask.is_none()
+        self.planes.is_none()
     }
 
-    /// Number of non-zero components.
+    /// Number of stored magnitude planes: 0 for a dense or an all-zero
+    /// vector, 1 for a ternary one, `⌈log2(max|v_i| + 1)⌉` in general.
     #[inline]
-    pub fn nonzero_count(&self) -> usize {
-        self.packed_query().nonzero_count()
+    pub fn num_planes(&self) -> usize {
+        self.planes
+            .as_ref()
+            .map_or(0, |p| p.len() / self.sign.len())
     }
 
-    /// Exact integer dot product with another packed vector.
+    /// The L1 weight `Σ |v_i|` (the non-zero count for bipolar and
+    /// ternary vectors).
+    #[inline]
+    pub fn l1_weight(&self) -> i64 {
+        self.packed_query().l1_weight()
+    }
+
+    /// Number of magnitude planes the plane-wise loops walk: a dense
+    /// vector counts as one implicit all-ones plane.
+    #[inline]
+    fn plane_count(&self) -> usize {
+        if self.is_dense() {
+            1
+        } else {
+            self.num_planes()
+        }
+    }
+
+    /// Word `i` of magnitude plane `p` (zero past the top plane).
+    #[inline]
+    fn plane_word(&self, p: usize, i: usize) -> u64 {
+        match &self.planes {
+            None if p > 0 => 0,
+            None => full_word(self.dim, i),
+            Some(planes) => planes.get(p * self.sign.len() + i).copied().unwrap_or(0),
+        }
+    }
+
+    /// Word `i` of the non-zero mask (the OR of every plane).
+    #[inline]
+    fn nonzero_word(&self, i: usize) -> u64 {
+        (0..self.plane_count()).fold(0, |acc, p| acc | self.plane_word(p, i))
+    }
+
+    /// `true` when every magnitude is 0 or 1 (dense or at most one plane).
+    #[inline]
+    fn is_unit(&self) -> bool {
+        self.plane_count() <= 1
+    }
+
+    /// Component at `index`, exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= dim`.
+    pub fn component(&self, index: usize) -> i64 {
+        assert!(
+            index < self.dim,
+            "component {index} out of bounds (dim {})",
+            self.dim
+        );
+        let (w, b) = (index / WORD_BITS, index % WORD_BITS);
+        let magnitude: i64 = (0..self.plane_count())
+            .map(|p| ((self.plane_word(p, w) >> b & 1) as i64) << p)
+            .sum();
+        if self.sign[w] >> b & 1 == 1 {
+            -magnitude
+        } else {
+            magnitude
+        }
+    }
+
+    /// Exact integer dot product with another packed vector: one masked
+    /// popcount pass per pair of magnitude planes.
     ///
     /// # Panics
     ///
@@ -337,30 +498,19 @@ impl PackedHv {
             "dimension mismatch: {} vs {}",
             self.dim, rhs.dim
         );
-        let mut common = 0u32;
-        let mut neg = 0u32;
-        match (&self.mask, &rhs.mask) {
-            (None, None) => {
-                for (a, b) in self.sign.iter().zip(&rhs.sign) {
-                    neg += (a ^ b).count_ones();
+        let mut total = 0i64;
+        for p in 0..self.plane_count() {
+            for q in 0..rhs.plane_count() {
+                let (mut both, mut neg) = (0i64, 0i64);
+                for i in 0..self.sign.len() {
+                    let m = self.plane_word(p, i) & rhs.plane_word(q, i);
+                    both += m.count_ones() as i64;
+                    neg += ((self.sign[i] ^ rhs.sign[i]) & m).count_ones() as i64;
                 }
-                return self.dim as i64 - 2 * neg as i64;
-            }
-            (Some(m), None) | (None, Some(m)) => {
-                for ((a, b), m) in self.sign.iter().zip(&rhs.sign).zip(m) {
-                    common += m.count_ones();
-                    neg += ((a ^ b) & m).count_ones();
-                }
-            }
-            (Some(ma), Some(mb)) => {
-                for (((a, b), ma), mb) in self.sign.iter().zip(&rhs.sign).zip(ma).zip(mb) {
-                    let both = ma & mb;
-                    common += both.count_ones();
-                    neg += ((a ^ b) & both).count_ones();
-                }
+                total += (both - 2 * neg) << (p + q);
             }
         }
-        common as i64 - 2 * neg as i64
+        total
     }
 
     /// Normalized dot similarity `dot / D`.
@@ -369,8 +519,8 @@ impl PackedHv {
         self.dot(rhs) as f64 / self.dim as f64
     }
 
-    /// Number of disagreeing components (any mismatch among `-1, 0, +1`
-    /// counts, including zero versus non-zero).
+    /// Number of disagreeing components (any difference in value counts,
+    /// including zero versus non-zero).
     ///
     /// # Panics
     ///
@@ -381,33 +531,40 @@ impl PackedHv {
             "dimension mismatch: {} vs {}",
             self.dim, rhs.dim
         );
-        let full = u64::MAX;
-        let n = self.sign.len();
-        let mut differing = 0usize;
-        for i in 0..n {
-            let ma = self.mask.as_ref().map_or(full, |m| m[i]);
-            let mb = rhs.mask.as_ref().map_or(full, |m| m[i]);
-            // Differ where exactly one is zero, or both non-zero with
-            // opposite signs. Padding bits are zero in both masks for
-            // masked vectors; for dense vectors restrict to valid bits
-            // via the sign planes' shared padding invariant.
-            let mut word = (ma ^ mb) | ((self.sign[i] ^ rhs.sign[i]) & ma & mb);
-            if i == n - 1 {
-                word &= crate::tail_mask(self.dim);
-            }
-            differing += word.count_ones() as usize;
-        }
-        differing
+        let planes = self.plane_count().max(rhs.plane_count());
+        (0..self.sign.len())
+            .map(|i| {
+                // Differ where any magnitude bit differs, or both are
+                // non-zero with opposite signs. Padding bits are zero in
+                // every plane and sign word.
+                let magnitude = (0..planes).fold(0, |acc, p| {
+                    acc | (self.plane_word(p, i) ^ rhs.plane_word(p, i))
+                });
+                let both = self.nonzero_word(i) & rhs.nonzero_word(i);
+                (magnitude | ((self.sign[i] ^ rhs.sign[i]) & both)).count_ones() as usize
+            })
+            .sum()
     }
 
-    /// Component-wise product: zero wherever either operand is zero,
-    /// signs multiply elsewhere — the packed counterpart of
-    /// [`Bind`](crate::Bind) on the unpacked types.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn bind(&self, rhs: &PackedHv) -> PackedHv {
+    /// [`Bind`] for two multi-plane operands: magnitudes multiply per
+    /// component (accumulator-range magnitudes multiply to at most
+    /// `2^62`, which fits 63 planes).
+    fn bind_components(&self, rhs: &PackedHv) -> PackedHv {
+        let products: Vec<i64> = (0..self.dim)
+            .map(|i| self.component(i) * rhs.component(i))
+            .collect();
+        PackedHv::pack(&products, |v| (v < 0, v.unsigned_abs()))
+    }
+}
+
+impl Bind for PackedHv {
+    type Output = PackedHv;
+
+    /// Component-wise product. When either operand has unit magnitudes
+    /// (dense or ternary) this is word-parallel: signs XOR and the other
+    /// operand's planes are masked by its non-zero plane. Two multi-plane
+    /// operands multiply component by component.
+    fn bind(&self, rhs: &PackedHv) -> PackedHv {
         assert_eq!(
             self.dim, rhs.dim,
             "dimension mismatch: {} vs {}",
@@ -419,38 +576,54 @@ impl PackedHv {
             .zip(&rhs.sign)
             .map(|(a, b)| a ^ b)
             .collect();
-        let mask = match (&self.mask, &rhs.mask) {
-            (None, None) => None,
-            (Some(m), None) | (None, Some(m)) => Some(m.clone()),
-            (Some(ma), Some(mb)) => Some(ma.iter().zip(mb).map(|(a, b)| a & b).collect()),
+        let (wide, unit) = match (self.is_unit(), rhs.is_unit()) {
+            (_, true) => (self, rhs),
+            (true, false) => (rhs, self),
+            (false, false) => return self.bind_components(rhs),
         };
-        let mut sign = sign;
-        match &mask {
-            None => clear_padding(&mut sign, self.dim),
-            Some(mask) => {
-                for (s, m) in sign.iter_mut().zip(mask) {
-                    *s &= m;
+        let planes = match (&wide.planes, &unit.planes) {
+            (None, None) => {
+                return PackedHv {
+                    sign,
+                    planes: None,
+                    dim: self.dim,
                 }
             }
-        }
+            (Some(planes), None) => planes.clone(),
+            (None, Some(mask)) => mask.clone(),
+            // An all-zero `unit` (no plane) zeroes every product plane.
+            (Some(planes), Some(mask)) => planes
+                .iter()
+                .zip(mask.iter().cycle())
+                .map(|(w, m)| w & m)
+                .collect(),
+        };
+        PackedHv::canonical(sign, planes, self.dim)
+    }
+}
+
+impl Bind<BipolarHv> for PackedHv {
+    type Output = PackedHv;
+
+    /// Binding with a bipolar vector flips signs and keeps every
+    /// magnitude: one pass over the sign words (label elimination on a
+    /// packed residual).
+    fn bind(&self, rhs: &BipolarHv) -> PackedHv {
+        assert_eq!(
+            self.dim,
+            rhs.dim(),
+            "dimension mismatch: {} vs {}",
+            self.dim,
+            rhs.dim()
+        );
+        let sign = (0..self.sign.len())
+            .map(|i| (self.sign[i] ^ rhs.words()[i]) & self.nonzero_word(i))
+            .collect();
         PackedHv {
             sign,
-            mask,
+            planes: self.planes.clone(),
             dim: self.dim,
         }
-    }
-
-    /// Unpacks into the two-plane ternary representation.
-    pub fn to_ternary(&self) -> TernaryHv {
-        let mask = match &self.mask {
-            Some(mask) => mask.clone(),
-            None => {
-                let mut full = vec![u64::MAX; self.sign.len()];
-                clear_padding(&mut full, self.dim);
-                full
-            }
-        };
-        TernaryHv::from_planes(mask, self.sign.clone(), self.dim)
     }
 }
 
@@ -464,9 +637,8 @@ impl Similarity for PackedHv {
             reference.dim()
         );
         let query = self.packed_query();
-        let nonzero = query.nonzero_count() as i64;
         let kernel = kernels::selected_kernel();
-        query.dot_words(reference.words(), nonzero, kernel) as f64 / self.dim as f64
+        query.dot_words(reference.words(), query.l1_weight(), kernel) as f64 / self.dim as f64
     }
 }
 
@@ -475,6 +647,7 @@ impl fmt::Debug for PackedHv {
         f.debug_struct("PackedHv")
             .field("dim", &self.dim)
             .field("dense", &self.is_dense())
+            .field("planes", &self.num_planes())
             .finish()
     }
 }
@@ -665,10 +838,10 @@ impl PackedShards {
         }
         self.check_query(&query);
         let kernel = kernels::selected_kernel();
-        let nonzero = query.nonzero_count() as i64;
+        let weight = query.l1_weight();
         let per_shard = self.scan_shards(|range| {
             range
-                .map(|i| query.dot_words(self.item_words(i), nonzero, kernel))
+                .map(|i| query.dot_words(self.item_words(i), weight, kernel))
                 .collect::<Vec<i64>>()
         });
         per_shard.concat()
@@ -688,9 +861,9 @@ impl PackedShards {
         out.clear();
         out.reserve(self.len);
         let kernel = kernels::selected_kernel();
-        let nonzero = query.nonzero_count() as i64;
+        let weight = query.l1_weight();
         for i in 0..self.len {
-            out.push(query.dot_words(self.item_words(i), nonzero, kernel));
+            out.push(query.dot_words(self.item_words(i), weight, kernel));
         }
     }
 
@@ -719,13 +892,13 @@ impl PackedShards {
             return Vec::new();
         }
         let kernel = kernels::selected_kernel();
-        let nonzero = query.nonzero_count() as i64;
+        let weight = query.l1_weight();
         let per_shard = self.scan_shards(|range| {
             let cap = k.min(range.len());
             let mut heap = vec![(0i64, 0usize); cap];
             let mut len = 0usize;
             for i in range {
-                let dot = query.dot_words(self.item_words(i), nonzero, kernel);
+                let dot = query.dot_words(self.item_words(i), weight, kernel);
                 heap_offer(&mut heap, &mut len, cap, (dot, i));
             }
             heap.truncate(len);
@@ -761,7 +934,7 @@ impl PackedShards {
             return;
         }
         let kernel = kernels::selected_kernel();
-        let nonzero = query.nonzero_count() as i64;
+        let weight = query.l1_weight();
         let cap = k.min(self.len);
         with_scratch(|scratch| {
             let cand = &mut scratch.cand;
@@ -769,7 +942,7 @@ impl PackedShards {
             cand.resize(cap, (0, 0));
             let mut len = 0usize;
             for i in 0..self.len {
-                let dot = query.dot_words(self.item_words(i), nonzero, kernel);
+                let dot = query.dot_words(self.item_words(i), weight, kernel);
                 heap_offer(cand, &mut len, cap, (dot, i));
             }
             cand.truncate(len);
@@ -842,11 +1015,11 @@ impl PackedShards {
             let ScanScratch {
                 heap_data,
                 heap_lens,
-                nonzero,
+                weights,
                 ..
             } = scratch;
-            nonzero.clear();
-            nonzero.extend(queries.iter().map(|q| q.nonzero_count() as i64));
+            weights.clear();
+            weights.extend(queries.iter().map(|q| q.l1_weight()));
             heap_data.clear();
             heap_data.resize(queries.len() * cap, (0, 0));
             heap_lens.clear();
@@ -862,7 +1035,7 @@ impl PackedShards {
                     for i in range.clone() {
                         let item = self.item_words(i);
                         for q in block_start..block_end {
-                            let dot = queries[q].dot_words(item, nonzero[q], kernel);
+                            let dot = queries[q].dot_words(item, weights[q], kernel);
                             let segment = &mut heap_data[q * cap..(q + 1) * cap];
                             heap_offer(segment, &mut heap_lens[q], cap, (dot, i));
                         }
@@ -918,11 +1091,11 @@ impl PackedShards {
         }
         self.check_query(&query);
         let kernel = kernels::selected_kernel();
-        let nonzero = query.nonzero_count() as i64;
+        let weight = query.l1_weight();
         let per_shard = self.scan_shards(|range| {
             range
                 .filter_map(|i| {
-                    let dot = query.dot_words(self.item_words(i), nonzero, kernel);
+                    let dot = query.dot_words(self.item_words(i), weight, kernel);
                     let sim = self.sim_of(dot);
                     (sim > threshold).then_some((dot, i))
                 })
@@ -958,12 +1131,12 @@ impl PackedShards {
         self.check_query(&query);
         out.clear();
         let kernel = kernels::selected_kernel();
-        let nonzero = query.nonzero_count() as i64;
+        let weight = query.l1_weight();
         with_scratch(|scratch| {
             let cand = &mut scratch.cand;
             cand.clear();
             for i in 0..self.len {
-                let dot = query.dot_words(self.item_words(i), nonzero, kernel);
+                let dot = query.dot_words(self.item_words(i), weight, kernel);
                 if self.sim_of(dot) > threshold {
                     cand.push((dot, i));
                 }
@@ -993,17 +1166,19 @@ impl fmt::Debug for PackedShards {
     }
 }
 
-/// Scan routing: every query type knows its fastest codebook-scan path.
+/// Scan routing: every query type scans a codebook through its
+/// [`PackedShards`] table.
 ///
 /// Word-level representations ([`BipolarHv`], [`TernaryHv`], [`PackedHv`])
-/// route through the codebook's [`PackedShards`]; integer accumulators
-/// ([`AccumHv`]) take the scalar reference path, since a general bundle
-/// has no lossless packed form. Both routes return identical results —
-/// the reference implementations are the oracle the packed kernels are
+/// scan through their borrowed [`PackedQuery`] view; integer accumulators
+/// ([`AccumHv`]) are first packed into sign-plus-magnitude-planes form
+/// with [`PackedHv::from_accum`], which is lossless for every
+/// accumulator. Every route returns results identical to the scalar
+/// reference searches on [`Codebook`] — the oracle the packed kernels are
 /// tested against.
 ///
 /// ```
-/// use hdc::{Codebook, CodebookScan};
+/// use hdc::{AccumHv, Codebook, CodebookScan};
 ///
 /// let cb = Codebook::derive(3, 16, 512);
 /// let query = cb.item(4).to_ternary();
@@ -1011,6 +1186,12 @@ impl fmt::Debug for PackedShards {
 /// let reference = cb.top_k(&query, 2);        // scalar reference
 /// assert_eq!(packed, reference);
 /// assert_eq!(packed[0].index, 4);
+///
+/// // A two-item bundle scans on two magnitude planes, still exactly.
+/// let mut bundle = AccumHv::zeros(512);
+/// bundle.add_bipolar(cb.item(4), 1);
+/// bundle.add_bipolar(cb.item(9), 1);
+/// assert_eq!(bundle.scan_top_k(&cb, 3), cb.top_k(&bundle, 3));
 /// ```
 pub trait CodebookScan: Similarity {
     /// The `k` most similar items of `codebook`, sorted by descending
@@ -1018,16 +1199,11 @@ pub trait CodebookScan: Similarity {
     fn scan_top_k(&self, codebook: &Codebook, k: usize) -> Vec<SearchHit>;
 
     /// [`CodebookScan::scan_top_k`] into a caller-owned buffer: `out` is
-    /// cleared and refilled with identical hits. Packed query types
-    /// route through [`PackedShards::top_k_into`] — thread-local scratch,
-    /// zero steady-state allocations when `out` is reused — which is what
-    /// the factorizer's per-class and beam-descent scans run on; the
-    /// default implementation is the allocating reference loop (what
-    /// [`AccumHv`] uses, having no packed form).
-    fn scan_top_k_into(&self, codebook: &Codebook, k: usize, out: &mut Vec<SearchHit>) {
-        out.clear();
-        out.extend(self.scan_top_k(codebook, k));
-    }
+    /// cleared and refilled with identical hits through
+    /// [`PackedShards::top_k_into`] — thread-local scratch, zero
+    /// steady-state allocations in the scan when `out` is reused — which
+    /// is what the factorizer's per-class and beam-descent scans run on.
+    fn scan_top_k_into(&self, codebook: &Codebook, k: usize, out: &mut Vec<SearchHit>);
 
     /// All items of `codebook` whose similarity strictly exceeds
     /// `threshold`, sorted by descending similarity (ties by ascending
@@ -1035,23 +1211,18 @@ pub trait CodebookScan: Similarity {
     fn scan_above_threshold(&self, codebook: &Codebook, threshold: f64) -> Vec<SearchHit>;
 
     /// [`CodebookScan::scan_above_threshold`] into a caller-owned buffer:
-    /// `out` is cleared and refilled with identical hits. Packed query
-    /// types route through [`PackedShards::above_threshold_into`] — the
-    /// **explicitly sequential** zero-alloc path — making this the safe
-    /// entry point for callers that may already be running inside a
-    /// parallel region (the factorizer's per-class and descent scans
-    /// under planned batch execution). The default implementation is the
-    /// allocating reference loop (what [`AccumHv`] uses, having no packed
-    /// form).
+    /// `out` is cleared and refilled with identical hits through
+    /// [`PackedShards::above_threshold_into`] — the **explicitly
+    /// sequential** zero-alloc path — making this the safe entry point for
+    /// callers that may already be running inside a parallel region (the
+    /// factorizer's per-class and descent scans under planned batch
+    /// execution).
     fn scan_above_threshold_into(
         &self,
         codebook: &Codebook,
         threshold: f64,
         out: &mut Vec<SearchHit>,
-    ) {
-        out.clear();
-        out.extend(self.scan_above_threshold(codebook, threshold));
-    }
+    );
 
     /// The single most similar item of `codebook`.
     ///
@@ -1068,16 +1239,11 @@ pub trait CodebookScan: Similarity {
 
     /// [`CodebookScan::scan_top_k`] for a whole batch of queries against
     /// one codebook, per-query results bit-identical to the one-at-a-time
-    /// scan. Packed query types route through
-    /// [`PackedShards::top_k_many`], amortizing the table traversal across
-    /// the batch; the default implementation is the per-query reference
-    /// loop (and what [`AccumHv`] uses, having no packed form).
+    /// scan, through [`PackedShards::top_k_many`]: the table traversal is
+    /// amortized across the batch.
     fn scan_top_k_many(codebook: &Codebook, queries: &[Self], k: usize) -> Vec<Vec<SearchHit>>
     where
-        Self: Sized,
-    {
-        queries.iter().map(|q| q.scan_top_k(codebook, k)).collect()
-    }
+        Self: Sized;
 }
 
 macro_rules! impl_codebook_scan_packed {
@@ -1132,13 +1298,34 @@ macro_rules! impl_codebook_scan_packed {
 
 impl_codebook_scan_packed!(BipolarHv, TernaryHv, PackedHv);
 
+/// Accumulators pack once per call ([`PackedHv::from_accum`]) and scan
+/// the packed form. Callers scanning one accumulator many times pack it
+/// themselves and reuse the [`PackedHv`].
 impl CodebookScan for AccumHv {
     fn scan_top_k(&self, codebook: &Codebook, k: usize) -> Vec<SearchHit> {
-        codebook.top_k(self, k)
+        PackedHv::from_accum(self).scan_top_k(codebook, k)
+    }
+
+    fn scan_top_k_into(&self, codebook: &Codebook, k: usize, out: &mut Vec<SearchHit>) {
+        PackedHv::from_accum(self).scan_top_k_into(codebook, k, out)
     }
 
     fn scan_above_threshold(&self, codebook: &Codebook, threshold: f64) -> Vec<SearchHit> {
-        codebook.above_threshold(self, threshold)
+        PackedHv::from_accum(self).scan_above_threshold(codebook, threshold)
+    }
+
+    fn scan_above_threshold_into(
+        &self,
+        codebook: &Codebook,
+        threshold: f64,
+        out: &mut Vec<SearchHit>,
+    ) {
+        PackedHv::from_accum(self).scan_above_threshold_into(codebook, threshold, out)
+    }
+
+    fn scan_top_k_many(codebook: &Codebook, queries: &[Self], k: usize) -> Vec<Vec<SearchHit>> {
+        let packed: Vec<PackedHv> = queries.iter().map(PackedHv::from_accum).collect();
+        PackedHv::scan_top_k_many(codebook, &packed, k)
     }
 }
 
@@ -1217,7 +1404,10 @@ mod tests {
         let u = random_ternary(130, 21);
         let bound = PackedHv::from_ternary(&t).bind(&PackedHv::from_ternary(&u));
         let expected: TernaryHv = t.bind(&u);
-        assert_eq!(bound.to_ternary(), expected);
+        assert_eq!(bound, PackedHv::from_ternary(&expected));
+        for i in 0..130 {
+            assert_eq!(bound.component(i), expected.component(i) as i64);
+        }
     }
 
     #[test]
@@ -1238,13 +1428,15 @@ mod tests {
         let packed = PackedHv::from_ternary(&t);
         assert_eq!(packed.sim_to(&reference), t.sim_to(&reference));
         assert_eq!(
-            PackedHv::from_accum_lossless(&t.to_accum())
-                .expect("lossless")
-                .sim_to(&reference),
+            PackedHv::from_accum(&t.to_accum()).sim_to(&reference),
             t.sim_to(&reference)
         );
         let big = AccumHv::from_components(vec![2, 0, -1]);
-        assert!(PackedHv::from_accum_lossless(&big).is_none());
+        let big_ref = BipolarHv::from_components(&[1, -1, -1]).unwrap();
+        assert_eq!(
+            PackedHv::from_accum(&big).sim_to(&big_ref),
+            big.sim_to(&big_ref)
+        );
     }
 
     #[test]
@@ -1342,10 +1534,10 @@ mod tests {
         let t = random_ternary(8192, 51);
         let q = t.packed_query();
         // Sequential reference over the same table.
-        let nonzero = q.nonzero_count() as i64;
+        let weight = q.l1_weight();
         let kernel = kernels::selected_kernel();
         let seq: Vec<i64> = (0..view.len())
-            .map(|i| q.dot_words(view.item_words(i), nonzero, kernel))
+            .map(|i| q.dot_words(view.item_words(i), weight, kernel))
             .collect();
         assert_eq!(view.dots(q), seq);
         assert_eq!(view.top_k(q, 7), cb.top_k(&t, 7));
@@ -1378,7 +1570,7 @@ mod tests {
         let grouped = TernaryHv::scan_top_k_many(&cb, &ternary, 3);
         let single: Vec<Vec<SearchHit>> = ternary.iter().map(|q| q.scan_top_k(&cb, 3)).collect();
         assert_eq!(grouped, single);
-        // The accumulator default (no packed form) agrees too.
+        // The accumulator route (packed per call) agrees too.
         let accums: Vec<AccumHv> = ternary.iter().map(|t| t.to_accum()).collect();
         assert_eq!(AccumHv::scan_top_k_many(&cb, &accums, 3), single);
     }
@@ -1431,8 +1623,8 @@ mod tests {
     #[test]
     fn scan_above_threshold_into_matches_plain_scan() {
         // The explicit sequential entry point must agree with the
-        // parallel-capable scan for both packed queries and the accum
-        // default, and inside a parallel region the gated scan must stay
+        // parallel-capable scan for both word-level queries and
+        // accumulators, and inside a parallel region the gated scan must stay
         // bit-identical (the nested-suppression path).
         let cb = Codebook::derive(76, 64, 256);
         let t = random_ternary(256, 77);

@@ -5,10 +5,13 @@
 //! results of single object to the range of {-1, 0, 1}"), storing 2 bits per
 //! dimension. The `mask` plane marks non-zero components; the `sign` plane
 //! carries their sign (set bit ⇔ `-1`). Sign bits under a cleared mask bit
-//! are kept at zero so equal vectors are bit-identical.
+//! are kept at zero so equal vectors are bit-identical. A vector with no
+//! zero component (any clause bundling an odd number of members) stores
+//! no mask plane at all, halving its footprint in the clause and
+//! reconstruction caches.
 
 use crate::ops::{Bind, Bundle, Permute};
-use crate::{clear_padding, words_for, AccumHv, BipolarHv, HdcError, WORD_BITS};
+use crate::{clear_padding, full_word, words_for, AccumHv, BipolarHv, HdcError, WORD_BITS};
 use std::fmt;
 
 /// A ternary hypervector in `{-1, 0, +1}^D`.
@@ -32,7 +35,8 @@ use std::fmt;
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct TernaryHv {
-    /// Bit set ⇔ component is non-zero.
+    /// Bit set ⇔ component is non-zero; empty ⇔ every component is
+    /// non-zero (the canonical dense form).
     mask: Vec<u64>,
     /// Bit set ⇔ component is negative (only meaningful where mask is set).
     sign: Vec<u64>,
@@ -55,7 +59,8 @@ impl TernaryHv {
         }
     }
 
-    /// Builds from raw planes, canonicalizing sign bits under zero mask.
+    /// Builds from raw planes, canonicalizing sign bits under zero mask
+    /// and a full mask to the dense (maskless) form.
     pub(crate) fn from_planes(mut mask: Vec<u64>, mut sign: Vec<u64>, dim: usize) -> Self {
         debug_assert_eq!(mask.len(), words_for(dim));
         debug_assert_eq!(sign.len(), words_for(dim));
@@ -63,7 +68,32 @@ impl TernaryHv {
         for (s, m) in sign.iter_mut().zip(&mask) {
             *s &= m;
         }
-        TernaryHv { mask, sign, dim }
+        TernaryHv { mask, sign, dim }.canonical()
+    }
+
+    /// Drops a mask plane that covers every dimension.
+    fn canonical(mut self) -> Self {
+        let words = self.sign.len();
+        if !self.mask.is_empty() && (0..words).all(|i| self.mask[i] == full_word(self.dim, i)) {
+            self.mask = Vec::new();
+        }
+        self
+    }
+
+    /// `true` when no component is zero (no stored mask plane).
+    #[inline]
+    pub(crate) fn is_dense(&self) -> bool {
+        self.mask.is_empty()
+    }
+
+    /// Word `i` of the non-zero mask (all valid bits for a dense vector).
+    #[inline]
+    fn mask_word(&self, i: usize) -> u64 {
+        if self.mask.is_empty() {
+            full_word(self.dim, i)
+        } else {
+            self.mask[i]
+        }
     }
 
     /// Builds a vector from explicit `{-1, 0, 1}` components.
@@ -89,7 +119,7 @@ impl TernaryHv {
                 _ => return Err(HdcError::InvalidDimension(components.len())),
             }
         }
-        Ok(hv)
+        Ok(hv.canonical())
     }
 
     /// The dimensionality `D`.
@@ -98,10 +128,11 @@ impl TernaryHv {
         self.dim
     }
 
-    /// The packed non-zero mask plane (bit set ⇔ component is non-zero).
+    /// The packed non-zero mask plane (bit set ⇔ component is non-zero),
+    /// or `None` for a dense vector.
     #[inline]
-    pub(crate) fn mask_words(&self) -> &[u64] {
-        &self.mask
+    pub(crate) fn mask_words(&self) -> Option<&[u64]> {
+        (!self.mask.is_empty()).then_some(self.mask.as_slice())
     }
 
     /// The packed sign plane (bit set ⇔ component is `-1`; canonical:
@@ -124,7 +155,7 @@ impl TernaryHv {
             self.dim
         );
         let (w, b) = (index / WORD_BITS, index % WORD_BITS);
-        if self.mask[w] >> b & 1 == 0 {
+        if self.mask_word(w) >> b & 1 == 0 {
             0
         } else if self.sign[w] >> b & 1 == 1 {
             -1
@@ -136,6 +167,9 @@ impl TernaryHv {
     /// Number of non-zero components.
     #[inline]
     pub fn nonzero_count(&self) -> usize {
+        if self.is_dense() {
+            return self.dim;
+        }
         self.mask.iter().map(|w| w.count_ones() as usize).sum()
     }
 
@@ -161,7 +195,8 @@ impl TernaryHv {
         );
         let mut nonzero = 0u32;
         let mut neg = 0u32;
-        for ((m, s), r) in self.mask.iter().zip(&self.sign).zip(rhs.words()) {
+        for (i, (s, r)) in self.sign.iter().zip(rhs.words()).enumerate() {
+            let m = self.mask_word(i);
             nonzero += m.count_ones();
             neg += ((s ^ r) & m).count_ones();
         }
@@ -182,8 +217,8 @@ impl TernaryHv {
         );
         let mut common = 0u32;
         let mut neg = 0u32;
-        for i in 0..self.mask.len() {
-            let both = self.mask[i] & rhs.mask[i];
+        for i in 0..self.sign.len() {
+            let both = self.mask_word(i) & rhs.mask_word(i);
             common += both.count_ones();
             neg += ((self.sign[i] ^ rhs.sign[i]) & both).count_ones();
         }
@@ -214,7 +249,8 @@ impl TernaryHv {
     /// model-artifact codec.
     pub fn to_le_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(Self::byte_len(self.dim));
-        for w in self.mask.iter().chain(&self.sign) {
+        let mask = (0..self.sign.len()).map(|i| self.mask_word(i));
+        for w in mask.chain(self.sign.iter().copied()) {
             out.extend_from_slice(&w.to_le_bytes());
         }
         out
@@ -276,14 +312,19 @@ impl Bind for TernaryHv {
             "dimension mismatch: {} vs {}",
             self.dim, rhs.dim
         );
-        let n = self.mask.len();
-        let mut mask = Vec::with_capacity(n);
-        let mut sign = Vec::with_capacity(n);
-        for i in 0..n {
-            let m = self.mask[i] & rhs.mask[i];
-            mask.push(m);
-            sign.push((self.sign[i] ^ rhs.sign[i]) & m);
+        let sign = self.sign.iter().zip(&rhs.sign).map(|(a, b)| a ^ b);
+        if self.is_dense() && rhs.is_dense() {
+            // Both dense: so is the product, and no mask plane is stored.
+            return TernaryHv {
+                mask: Vec::new(),
+                sign: sign.collect(),
+                dim: self.dim,
+            };
         }
+        let mask: Vec<u64> = (0..self.sign.len())
+            .map(|i| self.mask_word(i) & rhs.mask_word(i))
+            .collect();
+        let sign = sign.zip(&mask).map(|(s, m)| s & m).collect();
         TernaryHv {
             mask,
             sign,
@@ -308,7 +349,7 @@ impl Bind<BipolarHv> for TernaryHv {
         );
         let mut sign = Vec::with_capacity(self.sign.len());
         for (i, s) in self.sign.iter().enumerate() {
-            sign.push((s ^ rhs.words()[i]) & self.mask[i]);
+            sign.push((s ^ rhs.words()[i]) & self.mask_word(i));
         }
         TernaryHv {
             mask: self.mask.clone(),
@@ -343,7 +384,7 @@ impl Permute for TernaryHv {
                 }
             }
         }
-        out
+        out.canonical()
     }
 }
 
@@ -505,6 +546,51 @@ mod tests {
         let t = random_ternary(101, 12);
         assert_eq!(t.permute(0), t);
         assert_eq!(t.permute(40).permute(61), t);
+    }
+
+    #[test]
+    fn dense_vectors_store_no_mask_plane() {
+        // Odd-member bundles clip to vectors with no zero component: they
+        // keep no mask plane, yet read, serialize and compare exactly like
+        // the two-plane form.
+        let mut rng = rng_from_seed(13);
+        for dim in [1usize, 63, 64, 65, 300] {
+            let (a, b, c) = (
+                BipolarHv::random(dim, &mut rng),
+                BipolarHv::random(dim, &mut rng),
+                BipolarHv::random(dim, &mut rng),
+            );
+            let mut acc = a.bundle(&b);
+            acc.add_bipolar(&c, 1);
+            let dense = acc.clip_ternary();
+            assert!(dense.is_dense());
+            assert_eq!(dense.mask_words(), None);
+            assert_eq!(dense.nonzero_count(), dim);
+            let comps: Vec<i8> = dense.iter().collect();
+            assert_eq!(TernaryHv::from_components(&comps).unwrap(), dense);
+            let full =
+                TernaryHv::from_planes(vec![u64::MAX; words_for(dim)], dense.sign.clone(), dim);
+            assert_eq!(full, dense);
+            let bytes = dense.to_le_bytes();
+            assert!(bytes[..bytes.len() / 2 - 8].iter().all(|&b| b == 0xFF));
+            assert_eq!(TernaryHv::from_le_bytes(dim, &bytes).unwrap(), dense);
+            assert_eq!(
+                dense.dot_bipolar(&c),
+                acc.clip_ternary().to_accum().dot_bipolar(&c)
+            );
+            assert!(a.to_ternary().bind(&dense).is_dense());
+            let sparse = a.bundle(&b).clip_ternary();
+            let product = dense.bind(&sparse);
+            assert_eq!(product.is_dense(), sparse.is_dense());
+            for i in 0..dim {
+                assert_eq!(
+                    product.component(i),
+                    dense.component(i) * sparse.component(i)
+                );
+            }
+            assert_eq!(dense.dot(&sparse), dense.to_accum().dot(&sparse.to_accum()));
+            assert!(dense.permute(dim / 2).is_dense());
+        }
     }
 
     #[test]

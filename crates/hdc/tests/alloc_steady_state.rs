@@ -5,10 +5,14 @@
 //! scratch, the final ordering is an in-place unstable sort, and the
 //! output buffers are caller-owned and reused.
 //!
-//! Proven with a counting global allocator: every `alloc`/`realloc` in
-//! the process increments a counter, and the steady-state scan loop must
-//! leave it untouched. This file holds exactly one test so no sibling
-//! test thread can allocate concurrently and blur the measurement.
+//! Proven with a counting global allocator: every `alloc`/`realloc` made
+//! on the measuring thread increments a counter, and the steady-state
+//! scan loop must leave it untouched. The `_into` scans run entirely on
+//! the calling thread, so nothing under test escapes the count, while
+//! allocations by other threads of the test process cannot blur it. The
+//! queries cover every packed form: ternary masks and integer
+//! accumulators with one to several magnitude planes, including the
+//! all-zero residual.
 //!
 //! The loop runs with **metrics recording enabled**: the scan stage
 //! timers (`hdc::stage`) sit inside every `_into` scan, so this test
@@ -16,33 +20,60 @@
 //! (its tables are statically allocated atomics; see
 //! docs/OBSERVABILITY.md).
 
-use hdc::{AsPackedQuery, Bundle, Codebook, PackedQuery, TernaryHv};
+use hdc::{AccumHv, AsPackedQuery, Bundle, Codebook, PackedHv, PackedQuery, TernaryHv};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Delegates to the system allocator, counting every allocation and
-/// reallocation (deallocations are free to happen — the invariant under
-/// test is "no new memory", not "no memory").
+/// reallocation made **on a thread inside [`measured`]** (deallocations
+/// are free to happen — the invariant under test is "no new memory", not
+/// "no memory"). Allocations by other threads of the test process — the
+/// test harness's own main thread, say — are not the code under test and
+/// do not count.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set while this thread runs the measured rounds. `const`-initialized
+    /// and destructor-free, so reading it from inside the allocator never
+    /// allocates or re-enters it.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_if_measuring() {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Runs `f` with this thread's allocations counted, returning how many
+/// it made.
+fn measured(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    MEASURING.with(|m| m.set(true));
+    f();
+    MEASURING.with(|m| m.set(false));
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
 
 // SAFETY: pure delegation to `System`, which upholds the `GlobalAlloc`
 // contract; the counter is a side effect invisible to allocation
 // semantics.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_if_measuring();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_if_measuring();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_if_measuring();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -80,7 +111,25 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             a.bundle(&b).clip_ternary()
         })
         .collect();
-    let packed: Vec<PackedQuery<'_>> = queries.iter().map(|q| q.packed_query()).collect();
+    // Accumulator queries: bundles of 2, 3 and 5 objects (two and three
+    // magnitude planes) and the all-zero vector (zero planes).
+    let accums: Vec<PackedHv> = [2u64, 3, 5, 0]
+        .iter()
+        .map(|&n| {
+            let mut rng = hdc::rng_from_seed(0xACC0 + n);
+            let mut acc = AccumHv::zeros(2048);
+            for _ in 0..n {
+                acc.add_bipolar(&hdc::BipolarHv::random(2048, &mut rng), 1);
+            }
+            PackedHv::from_accum(&acc)
+        })
+        .collect();
+    let packed: Vec<PackedQuery<'_>> = queries
+        .iter()
+        .map(|q| q.packed_query())
+        .chain(accums.iter().map(|q| q.packed_query()))
+        .collect();
+    let n_queries = packed.len();
 
     let mut hits = Vec::new();
     let mut many = Vec::new();
@@ -115,26 +164,24 @@ fn steady_state_scans_perform_zero_heap_allocations() {
     hdc::stage::set_metrics_recording(true);
     let scans_before = scan_stage_count();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..25 {
-        run_all(&mut hits, &mut many, &mut dots, &mut th_hits);
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocations = measured(|| {
+        for _ in 0..25 {
+            run_all(&mut hits, &mut many, &mut dots, &mut th_hits);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
-        "steady-state scans must not allocate (saw {} allocations over 25 warm rounds)",
-        after - before
+        allocations, 0,
+        "steady-state scans must not allocate (saw {allocations} allocations over 25 warm rounds)"
     );
 
     // Recording was live during the allocation-free rounds: the scan
-    // stage must have counted every timed span (25 rounds × 8 queries ×
+    // stage must have counted every timed span (25 rounds × 12 queries ×
     // 3 per-query scans + 25 many-scans), unless the telemetry layer was
     // compiled out, in which case the timers are inert by design.
     if hdc::stage::metrics_recording() {
         assert_eq!(
             scan_stage_count() - scans_before,
-            25 * (8 * 3 + 1),
+            25 * (n_queries as u64 * 3 + 1),
             "scan stage timer must record every steady-state scan"
         );
     } else {
@@ -146,6 +193,6 @@ fn steady_state_scans_perform_zero_heap_allocations() {
     assert_eq!(many, expected_many);
     assert_eq!(dots, expected_dots);
     assert_eq!(th_hits, expected_th);
-    assert_eq!(many.len(), queries.len());
+    assert_eq!(many.len(), n_queries);
     assert!(many.iter().all(|m| m.len() == K));
 }

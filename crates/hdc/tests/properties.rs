@@ -3,6 +3,7 @@
 use hdc::prelude::*;
 use hdc::rng_from_seed;
 use proptest::prelude::*;
+use rand::Rng;
 
 fn arb_dim() -> impl Strategy<Value = usize> {
     prop_oneof![
@@ -184,7 +185,7 @@ proptest! {
         let (t, u) = (make(s1), make(s2));
         let packed = PackedHv::from_ternary(&t).bind(&PackedHv::from_ternary(&u));
         let reference: TernaryHv = t.bind(&u);
-        prop_assert_eq!(packed.to_ternary(), reference);
+        prop_assert_eq!(packed, PackedHv::from_ternary(&reference));
     }
 
     #[test]
@@ -236,6 +237,181 @@ proptest! {
         prop_assert_eq!(acc.scan_top_k(&cb, 5), t.scan_top_k(&cb, 5));
         prop_assert_eq!(acc.scan_above_threshold(&cb, 0.05), t.scan_above_threshold(&cb, 0.05));
     }
+}
+
+/// Accumulator query families, by `family`: a bundle of 1–4 random
+/// bipolar vectors, small random integers in `-9..=9`, a ternary-valued
+/// vector, a small bundle with components pinned at `i32::MIN` and
+/// `i32::MAX` (32 magnitude planes), and the all-zero vector (zero planes,
+/// never dense).
+fn accum_family(family: u8, dim: usize, seed: u64) -> AccumHv {
+    let mut rng = rng_from_seed(seed);
+    match family {
+        0 | 3 => {
+            let mut acc = AccumHv::zeros(dim);
+            for _ in 0..=seed % 4 {
+                acc.add_bipolar(&BipolarHv::random(dim, &mut rng), 1);
+            }
+            if family == 3 {
+                let mut comps = acc.components().to_vec();
+                comps[0] = i32::MIN;
+                comps[dim - 1] = i32::MAX;
+                acc = AccumHv::from_components(comps);
+            }
+            acc
+        }
+        1 => AccumHv::from_components((0..dim).map(|_| rng.gen_range(-9..=9)).collect()),
+        2 => {
+            let a = BipolarHv::random(dim, &mut rng);
+            let b = BipolarHv::random(dim, &mut rng);
+            a.bundle(&b).clip_ternary().to_accum()
+        }
+        _ => AccumHv::zeros(dim),
+    }
+}
+
+fn arb_accum_case() -> impl Strategy<Value = (AccumHv, u64)> {
+    (arb_dim(), 0u8..5, any::<u64>())
+        .prop_map(|(dim, family, seed)| (accum_family(family, dim, seed), seed))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // ------------------------------------------------------------------
+    // Accumulator queries in sign-plus-magnitude-planes form against the
+    // scalar `AccumHv` / `Codebook` oracle.
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn packed_accum_is_lossless((acc, seed) in arb_accum_case()) {
+        let packed = PackedHv::from_accum(&acc);
+        let dim = acc.dim();
+        for i in 0..dim {
+            prop_assert_eq!(packed.component(i), acc.component(i) as i64);
+        }
+        let l1: i64 = acc.components().iter().map(|&v| (v as i64).abs()).sum();
+        prop_assert_eq!(packed.l1_weight(), l1);
+        let span = acc.components().iter().fold(0u32, |a, &v| a | v.unsigned_abs());
+        if acc.is_zero() {
+            prop_assert!(!packed.is_dense(), "all-zero must not read as dense");
+            prop_assert_eq!(packed.num_planes(), 0);
+        } else if span == 1 {
+            // Ternary-valued: exactly the ternary packed form.
+            prop_assert_eq!(&packed, &PackedHv::from_ternary(&acc.clip_ternary()));
+        } else {
+            prop_assert_eq!(packed.num_planes(), (32 - span.leading_zeros()) as usize);
+        }
+        let b = BipolarHv::random(dim, &mut rng_from_seed(seed ^ 0xB1B));
+        prop_assert_eq!(packed.dot(&PackedHv::from_bipolar(&b)), acc.dot_bipolar(&b));
+        prop_assert_eq!(packed.sim_to(&b), acc.sim_to(&b));
+    }
+
+    #[test]
+    fn packed_accum_bind_matches_reference((acc, seed) in arb_accum_case()) {
+        let dim = acc.dim();
+        let key = BipolarHv::random(dim, &mut rng_from_seed(seed ^ 0x4E7));
+        let item = BipolarHv::random(dim, &mut rng_from_seed(seed ^ 0x17E));
+        let packed = PackedHv::from_accum(&acc);
+        let bound = packed.bind(&key);
+        for i in 0..dim {
+            prop_assert_eq!(bound.component(i), acc.component(i) as i64 * key.component(i) as i64);
+        }
+        if acc.components().iter().all(|&v| v != i32::MIN) {
+            let reference = acc.bind(&key);
+            prop_assert_eq!(&bound, &PackedHv::from_accum(&reference));
+            prop_assert_eq!(bound.sim_to(&item), reference.sim_to(&item));
+        }
+        // Binding twice with the same key restores the query.
+        prop_assert_eq!(bound.bind(&key), packed.clone());
+        // Packed-by-packed products and Hamming agree with the components.
+        let other = PackedHv::from_accum(&accum_family((seed % 5) as u8, dim, seed ^ 0x0DD));
+        let product = packed.bind(&other);
+        let mut dot = 0i64;
+        let mut differing = 0usize;
+        for i in 0..dim {
+            let (a, b) = (packed.component(i), other.component(i));
+            prop_assert_eq!(product.component(i), a * b);
+            dot += a * b;
+            differing += (a != b) as usize;
+        }
+        if acc.components().iter().all(|&v| v.unsigned_abs() < 1 << 20) {
+            prop_assert_eq!(packed.dot(&other), dot);
+        }
+        prop_assert_eq!(packed.hamming(&other), differing);
+    }
+
+    #[test]
+    fn packed_accum_scans_match_reference((acc, seed) in arb_accum_case(), m in 1usize..40, k in 0usize..48, th in -0.5f64..0.9) {
+        let dim = acc.dim();
+        let cb = Codebook::derive(seed, m, dim);
+        prop_assert_eq!(acc.scan_top_k(&cb, k), cb.top_k(&acc, k));
+        prop_assert_eq!(acc.scan_above_threshold(&cb, th), cb.above_threshold(&acc, th));
+        prop_assert_eq!(acc.scan_best(&cb).unwrap(), cb.best_match(&acc).unwrap());
+        let mut out = Vec::new();
+        acc.scan_top_k_into(&cb, k, &mut out);
+        prop_assert_eq!(&out, &cb.top_k(&acc, k));
+        acc.scan_above_threshold_into(&cb, th, &mut out);
+        prop_assert_eq!(&out, &cb.above_threshold(&acc, th));
+        let packed = PackedHv::from_accum(&acc);
+        let reference: Vec<i64> = cb.iter().map(|item| acc.dot_bipolar(item)).collect();
+        prop_assert_eq!(cb.packed_view().dots(packed.packed_query()), reference);
+        let queries: Vec<AccumHv> = (0..5u64)
+            .map(|i| accum_family(((seed + i) % 5) as u8, dim, seed ^ i))
+            .collect();
+        let many = AccumHv::scan_top_k_many(&cb, &queries, k);
+        for (q, hits) in queries.iter().zip(&many) {
+            prop_assert_eq!(hits, &cb.top_k(q, k));
+        }
+    }
+}
+
+#[test]
+fn all_zero_accumulator_scans_as_zero_not_dense() {
+    // A fully peeled residual: zero planes, L1 weight 0, every dot 0 —
+    // so no item clears a non-negative threshold.
+    let cb = Codebook::derive(0x2E60, 32, 200);
+    let zero = AccumHv::zeros(200);
+    let packed = PackedHv::from_accum(&zero);
+    assert!(!packed.is_dense());
+    assert_eq!(packed.num_planes(), 0);
+    assert_eq!(packed.l1_weight(), 0);
+    assert_eq!(packed, PackedHv::from_ternary(&TernaryHv::zeros(200)));
+    assert_eq!(cb.packed_view().dots(packed.packed_query()), vec![0; 32]);
+    assert!(zero.scan_above_threshold(&cb, 0.0).is_empty());
+    assert_eq!(zero.scan_top_k(&cb, 32), cb.top_k(&zero, 32));
+    for item in cb.iter() {
+        assert_eq!(packed.sim_to(item), 0.0);
+        assert_eq!(packed.bind(item), packed);
+    }
+}
+
+#[test]
+fn parallel_accum_scans_match_reference() {
+    // A table past the parallel fork threshold (4096 items × 64 words)
+    // on a multi-lane pool: the parallel `dots` / `top_k` /
+    // `above_threshold` forms must match the scalar oracle for
+    // multi-plane queries too, as must the sequential `top_k_many`.
+    let before = rayon::current_num_threads();
+    rayon::configure_pool(2);
+    let dim = 4096;
+    let cb = Codebook::derive(0x9A2A, 4096, dim);
+    let view = cb.packed_view();
+    for family in 0..5u8 {
+        let acc = accum_family(family, dim, 0x9A2B + family as u64);
+        let packed = PackedHv::from_accum(&acc);
+        let q = packed.packed_query();
+        let reference: Vec<i64> = cb.iter().map(|item| acc.dot_bipolar(item)).collect();
+        assert_eq!(view.dots(q), reference, "family {family}");
+        assert_eq!(view.top_k(q, 9), cb.top_k(&acc, 9), "family {family}");
+        assert_eq!(
+            view.above_threshold(q, 0.01),
+            cb.above_threshold(&acc, 0.01),
+            "family {family}"
+        );
+        assert_eq!(view.top_k_many(&[q, q], 5)[1], cb.top_k(&acc, 5));
+    }
+    rayon::configure_pool(before);
 }
 
 proptest! {

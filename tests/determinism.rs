@@ -555,3 +555,89 @@ fn neural_pipeline_reproduces() {
         p2.evaluate(50, 3).expect("runs")
     );
 }
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// Folds every observable field of a Rep-3 decode into `hash`: the
+/// recovered objects, each confidence's bit pattern, the operation
+/// counters, and the residual norm's bit pattern.
+fn digest_scene(mut hash: u64, decoded: &DecodedScene) -> u64 {
+    hash = fnv1a(hash, &(decoded.objects.len() as u64).to_le_bytes());
+    for d in &decoded.objects {
+        for assignment in d.object().assignments() {
+            match assignment {
+                None => hash = fnv1a(hash, &[0xFF]),
+                Some(path) => {
+                    hash = fnv1a(hash, &[path.depth() as u8]);
+                    for &i in path.indices() {
+                        hash = fnv1a(hash, &i.to_le_bytes());
+                    }
+                }
+            }
+        }
+        hash = fnv1a(hash, &d.confidence().to_bits().to_le_bytes());
+    }
+    let s = &decoded.stats;
+    for v in [
+        s.similarity_checks,
+        s.combination_tests,
+        s.unbind_ops,
+        s.objects_found as u64,
+        s.truncated_combinations as u64,
+    ] {
+        hash = fnv1a(hash, &v.to_le_bytes());
+    }
+    fnv1a(hash, &decoded.residual_norm.to_bits().to_le_bytes())
+}
+
+#[test]
+fn rep3_decodes_match_pinned_digest() {
+    // Fixed-seed Rep-3 scenes of 1–4 objects (some with absent classes)
+    // on the paper-scale 3 × [100, 10] taxonomy. The digest was computed
+    // on the scalar accumulator scan route and pins every decode, every
+    // confidence bit, every counter and the residual norm: any scan
+    // route must reproduce it exactly.
+    let taxonomy = TaxonomyBuilder::new(4096)
+        .seed(0x0D16_E575)
+        .uniform_classes(3, &[100, 10])
+        .build()
+        .expect("valid taxonomy");
+    let encoder = Encoder::new(&taxonomy);
+    let factorizers: Vec<Factorizer<'_>> = (1..=4)
+        .map(|n_objects| {
+            Factorizer::new(
+                &taxonomy,
+                FactorizeConfig {
+                    threshold: ThresholdPolicy::Analytic { n_objects },
+                    ..FactorizeConfig::default()
+                },
+            )
+        })
+        .collect();
+    let mut rng = hdc::rng_from_seed(0x0D16_E576);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut right = 0;
+    let scenes = 48;
+    for i in 0..scenes {
+        let n = i % 4 + 1;
+        let objects = (0..n)
+            .map(|_| taxonomy.sample_object_with_nulls(0.15, &mut rng))
+            .collect();
+        let scene = Scene::new(objects);
+        let hv = encoder.encode_scene(&scene).expect("encodable");
+        let decoded = factorizers[n - 1].factorize_multi(&hv).expect("decodable");
+        right += decoded.to_scene().same_multiset(&scene) as usize;
+        hash = digest_scene(hash, &decoded);
+    }
+    assert_eq!(
+        format!("{hash:016x} {right}/{scenes}"),
+        "251f453777808316 48/48"
+    );
+}
