@@ -5,11 +5,11 @@
 //! Three modes run the *same* deterministic typed-op stream:
 //!
 //! * **naive/s** — the pre-engine calling pattern: every op rebuilds
-//!   the taxonomy (labels, codebooks, clauses re-derived from the seed)
+//!   the taxonomy (labels and codebooks re-derived from the seed)
 //!   and a fresh model state (label-elimination masks re-bound), then
 //!   runs sequentially.
 //! * **cold/s** — a freshly constructed [`FactorEngine`] planning the
-//!   batch once (masks pre-built; codebook/clause/reconstruction caches
+//!   batch once (masks pre-built; codebook and reconstruction caches
 //!   filling as it goes).
 //! * **warm/s** — the same engine planning the batch again with every
 //!   cache hot.

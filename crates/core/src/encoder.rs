@@ -55,9 +55,8 @@ impl<'a> Encoder<'a> {
     /// Encodes one class clause: `clip(LABEL + Σ path items)` for a present
     /// class, `clip(LABEL + NULL)` for an absent one.
     ///
-    /// Clauses are served from the taxonomy's clause cache
-    /// ([`Taxonomy::clause`]), so repeated encodes over a shared taxonomy
-    /// never re-derive item vectors or re-accumulate the bundle.
+    /// Delegates to [`Taxonomy::clause`], which bundles and clips the
+    /// members word-parallel.
     ///
     /// # Errors
     ///
@@ -67,7 +66,7 @@ impl<'a> Encoder<'a> {
         class: usize,
         assignment: Option<&ItemPath>,
     ) -> Result<TernaryHv, FactorHdError> {
-        Ok(self.taxonomy.clause(class, assignment)?.as_ref().clone())
+        self.taxonomy.clause(class, assignment)
     }
 
     /// Encodes a clause from a **raw item vector** instead of a taxonomy
@@ -96,10 +95,7 @@ impl<'a> Encoder<'a> {
                 actual: item.dim(),
             });
         }
-        let mut acc = AccumHv::zeros(self.taxonomy.dim());
-        acc.add_bipolar(self.taxonomy.label(class), 1);
-        acc.add_bipolar(item, 1);
-        Ok(acc.clip_ternary())
+        Ok(TernaryHv::clipped_sum(&[self.taxonomy.label(class), item]))
     }
 
     /// Encodes an object from raw per-class item vectors (`None` = absent
@@ -136,34 +132,23 @@ impl<'a> Encoder<'a> {
 
     /// Encodes a full object: the binding of all class clauses.
     ///
-    /// Clauses come from the taxonomy's clause cache, so a warm encode is
-    /// one lookup plus one word-level bind per class.
+    /// Each clause is built word-parallel by [`Taxonomy::clause`] and
+    /// bound in with one word-level pass.
     ///
     /// # Errors
     ///
     /// [`FactorHdError::ClassCountMismatch`] or path validation errors.
     pub fn encode_object(&self, object: &ObjectSpec) -> Result<TernaryHv, FactorHdError> {
         self.taxonomy.validate_object(object)?;
-        let mut first: Option<std::sync::Arc<TernaryHv>> = None;
         let mut product: Option<TernaryHv> = None;
         for (class, assignment) in object.assignments().iter().enumerate() {
             let clause = self.taxonomy.clause(class, assignment.as_ref())?;
-            match product.take() {
-                Some(p) => product = Some(p.bind(clause.as_ref())),
-                None => match first.take() {
-                    Some(f) => product = Some(f.bind(clause.as_ref())),
-                    None => first = Some(clause),
-                },
-            }
+            product = Some(match product {
+                None => clause,
+                Some(p) => p.bind(&clause),
+            });
         }
-        Ok(match product {
-            Some(p) => p,
-            // Single-class taxonomy: the object is its only clause.
-            None => first
-                .expect("taxonomy has at least one class")
-                .as_ref()
-                .clone(),
-        })
+        Ok(product.expect("taxonomy has at least one class"))
     }
 
     /// Encodes a scene: the integer bundle of its object hypervectors.

@@ -45,8 +45,9 @@ pub fn build_unbind_keys(taxonomy: &Taxonomy) -> Vec<BipolarHv> {
 
 /// A pluggable memo for the Rep-3 reconstruct-and-exclude step.
 ///
-/// `factorize_multi` re-encodes each candidate object to score and then
-/// subtract it; the encoding depends only on `(taxonomy, object)`, so a
+/// `factorize_multi` encodes each candidate object for its acceptance
+/// test, and subtracts the accepted candidate's encoding from the
+/// residual; the encoding depends only on `(taxonomy, object)`, so a
 /// serving layer can memoize it across requests. Implementations must
 /// return exactly what [`Encoder::encode_object`] would (the factorizer's
 /// outputs stay bit-identical with or without a cache). The `Arc` return
@@ -647,6 +648,12 @@ impl<'a> Factorizer<'a> {
     /// candidate selection, combination testing, level descent, and the
     /// reconstruct-and-exclude loop of Algorithm 1.
     ///
+    /// The scene is packed once into sign-plus-magnitude-planes form
+    /// ([`PackedHv::from_accum`]) and the residual never leaves it: each
+    /// accepted object's reconstruction is subtracted word-parallel on
+    /// the planes ([`PackedHv::sub_ternary`]), and the residual norm is
+    /// read from plane popcounts ([`PackedHv::norm`]).
+    ///
     /// # Errors
     ///
     /// [`FactorHdError::DimensionMismatch`] on a wrong-size query. An empty
@@ -657,14 +664,13 @@ impl<'a> Factorizer<'a> {
         self.check_dim(hv.dim())?;
         let th = self.resolved_threshold();
         let mut stats = FactorizeStats::default();
-        let mut residual = hv.clone();
+        let mut residual = PackedHv::from_accum(hv);
         let mut objects = Vec::new();
 
         while objects.len() < self.config.max_objects {
             match self.find_one_object(&residual, th, &mut stats)? {
                 None => break,
-                Some(decoded) => {
-                    let reconstruction = self.reconstruct(&decoded.object)?;
+                Some((decoded, reconstruction)) => {
                     residual.sub_ternary(&reconstruction);
                     objects.push(decoded);
                     stats.objects_found += 1;
@@ -680,22 +686,21 @@ impl<'a> Factorizer<'a> {
     }
 
     /// One iteration of the Algorithm-1 loop: find the strongest object in
-    /// `residual`, or `None` when nothing clears `th`.
+    /// the packed residual `query`, or `None` when nothing clears `th`.
+    /// The accepted object comes back with the reconstruction its
+    /// acceptance test scored, ready to subtract.
     ///
-    /// The residual is packed once per iteration into sign-plus-planes
-    /// form ([`PackedHv::from_accum`]: two planes for a two- or
-    /// three-object bundle, one once the residual is ternary, none once
-    /// it is fully peeled), and the level-1 scans, NULL checks, descent
-    /// scans, combination tests and the final acceptance test all run on
-    /// that packed residual.
+    /// The residual holds two planes for a two- or three-object bundle,
+    /// one once it is ternary, none once it is fully peeled; the level-1
+    /// scans, NULL checks, descent scans, combination tests and the final
+    /// acceptance test all run on it directly.
     fn find_one_object(
         &self,
-        residual: &AccumHv,
+        query: &PackedHv,
         th: f64,
         stats: &mut FactorizeStats,
-    ) -> Result<Option<DecodedObject>, FactorHdError> {
+    ) -> Result<Option<(DecodedObject, Arc<TernaryHv>)>, FactorHdError> {
         let f = self.taxonomy.num_classes();
-        let query = PackedHv::from_accum(residual);
 
         // Per-class label elimination (computed once per loop iteration).
         let unbound: Vec<PackedHv> = (0..f)
@@ -745,7 +750,7 @@ impl<'a> Factorizer<'a> {
         }
 
         // Level-1 combination tests.
-        let mut beam = self.test_combinations(&query, &per_class, th, stats);
+        let mut beam = self.test_combinations(query, &per_class, th, stats);
         if beam.is_empty() {
             return Ok(None);
         }
@@ -757,7 +762,7 @@ impl<'a> Factorizer<'a> {
         for level in 1..max_depth {
             let mut next_beam: Vec<Combo> = Vec::new();
             for combo in &beam {
-                let refined = self.descend_combo(&query, &unbound, combo, level, th, stats)?;
+                let refined = self.descend_combo(query, &unbound, combo, level, th, stats)?;
                 next_beam.extend(refined);
             }
             if next_beam.is_empty() {
@@ -780,10 +785,11 @@ impl<'a> Factorizer<'a> {
             let accept_sim = query.sim(&PackedHv::from_ternary(&reconstruction)) / rho;
             stats.combination_tests += 1;
             if accept_sim >= self.config.accept_threshold {
-                return Ok(Some(DecodedObject {
+                let decoded = DecodedObject {
                     object,
                     confidence: accept_sim,
-                }));
+                };
+                return Ok(Some((decoded, reconstruction)));
             }
         }
         Ok(None)

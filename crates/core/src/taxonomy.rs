@@ -12,11 +12,12 @@
 //! than the codebooks actually touched.
 
 use crate::{FactorHdError, ItemPath, ObjectSpec, Scene};
-use hdc::{derive_seed, AccumHv, BipolarHv, Codebook, TernaryHv, DEFAULT_SEED};
+use hdc::{derive_seed, BipolarHv, Codebook, TernaryHv, DEFAULT_SEED};
 use parking_lot::RwLock;
 use rand::Rng;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Domain-separation tags for seed derivation.
@@ -133,18 +134,13 @@ impl TaxonomyBuilder {
             })
             .collect();
 
-        let num_classes = classes.len();
         Ok(Taxonomy {
             dim: self.dim,
             seed: self.seed,
             null,
             classes,
             cache: RwLock::new(HashMap::new()),
-            clause_cache: RwLock::new(ClauseCacheInner {
-                map: HashMap::new(),
-                generations: vec![0; num_classes],
-                total_generation: 0,
-            }),
+            generation: AtomicU64::new(0),
             overrides: RwLock::new(BTreeMap::new()),
         })
     }
@@ -159,26 +155,6 @@ struct ClassInfo {
 
 /// Cache of lazily derived codebooks, keyed by `(class, path)`.
 type CodebookCache = RwLock<HashMap<(usize, Vec<u16>), Arc<Codebook>>>;
-
-/// Upper bound on cached clauses. Real taxonomies have far fewer distinct
-/// items than this; the cap only exists so a path-sweeping client of a
-/// long-lived server cannot grow the cache without limit (past it,
-/// clauses are computed but not retained).
-const CLAUSE_CACHE_CAP: usize = 1 << 16;
-
-/// Cache of clipped class clauses, keyed by `(class, path)`; the `None`
-/// path is the absent-class (NULL) clause. `generations[class]` is bumped
-/// by [`Taxonomy::set_codebook`] under the same write lock that purges the
-/// class's entries, so a concurrently computed stale clause can detect the
-/// replacement and refuse to insert itself.
-#[derive(Debug, Default)]
-struct ClauseCacheInner {
-    map: HashMap<(usize, Option<Vec<u16>>), Arc<TernaryHv>>,
-    generations: Vec<u64>,
-    total_generation: u64,
-}
-
-type ClauseCache = RwLock<ClauseCacheInner>;
 
 /// Explicitly installed codebooks (trained prototypes), keyed by
 /// `(class, parent path)`. Kept sorted so model artifacts serialize in a
@@ -196,7 +172,8 @@ pub struct Taxonomy {
     null: BipolarHv,
     classes: Vec<ClassInfo>,
     cache: CodebookCache,
-    clause_cache: ClauseCache,
+    /// Bumped by every [`Taxonomy::set_codebook`].
+    generation: AtomicU64,
     overrides: OverrideMap,
 }
 
@@ -436,14 +413,9 @@ impl Taxonomy {
         self.overrides
             .write()
             .insert((class, parent.to_vec()), replacement);
-        // Cached clauses of this class may bundle replaced items. The
-        // generation bump happens under the same write lock as the purge,
-        // so an in-flight `clause()` computed from the old codebook sees
-        // the change and refuses to cache itself.
-        let mut clauses = self.clause_cache.write();
-        clauses.generations[class] = clauses.generations[class].wrapping_add(1);
-        clauses.total_generation = clauses.total_generation.wrapping_add(1);
-        clauses.map.retain(|(c, _), _| *c != class);
+        // Bumped only after the replacement is visible: a reader that
+        // observes the new generation also observes the new codebook.
+        self.generation.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 
@@ -452,7 +424,7 @@ impl Taxonomy {
     /// engine's reconstruction memo) compare this against the generation
     /// they were populated at and flush when it moves.
     pub fn codebook_generation(&self) -> u64 {
-        self.clause_cache.read().total_generation
+        self.generation.load(Ordering::SeqCst)
     }
 
     /// The explicitly installed codebooks ([`Taxonomy::set_codebook`]),
@@ -471,10 +443,9 @@ impl Taxonomy {
     /// `clip(LABEL + Σ path items)` for a present assignment,
     /// `clip(LABEL + NULL)` for an absent one (`assignment = None`).
     ///
-    /// Clauses are deterministic given the taxonomy state, so they are
-    /// built once and cached — encoding a scene over a shared taxonomy is
-    /// a per-class lookup plus word-level binds instead of re-deriving
-    /// item vectors and re-accumulating on every call.
+    /// Built on demand, word-parallel ([`TernaryHv::clipped_sum`]: a
+    /// bit-sliced count of the members' sign bits), so a clause always
+    /// reflects the taxonomy's current codebooks.
     ///
     /// # Errors
     ///
@@ -484,48 +455,26 @@ impl Taxonomy {
         &self,
         class: usize,
         assignment: Option<&ItemPath>,
-    ) -> Result<Arc<TernaryHv>, FactorHdError> {
+    ) -> Result<TernaryHv, FactorHdError> {
         self.check_class(class)?;
-        if let Some(path) = assignment {
-            self.validate_path(class, path)?;
-        }
-        let key = (class, assignment.map(|p| p.indices().to_vec()));
-        loop {
-            let generation = {
-                let cache = self.clause_cache.read();
-                if let Some(clause) = cache.map.get(&key) {
-                    return Ok(Arc::clone(clause));
-                }
-                cache.generations[class]
-            };
-
-            let mut acc = AccumHv::zeros(self.dim);
-            acc.add_bipolar(self.label(class), 1);
-            match assignment {
-                None => acc.add_bipolar(&self.null, 1),
-                Some(path) => {
-                    for depth in 1..=path.depth() {
-                        let parent = &path.indices()[..depth - 1];
-                        let cb = self.codebook(class, parent)?;
-                        acc.add_bipolar(cb.item(path.indices()[depth - 1] as usize), 1);
-                    }
-                }
-            }
-            let clause = Arc::new(acc.clip_ternary());
-
-            let mut cache = self.clause_cache.write();
-            if cache.generations[class] != generation {
-                // `set_codebook` replaced this class's items while we were
-                // computing: the clause may be stale, so recompute.
-                continue;
-            }
-            if cache.map.len() >= CLAUSE_CACHE_CAP && !cache.map.contains_key(&key) {
-                // Bounded: serve the computed clause without retaining it.
-                return Ok(clause);
-            }
-            let entry = cache.map.entry(key).or_insert_with(|| Arc::clone(&clause));
-            return Ok(Arc::clone(entry));
-        }
+        let label = self.label(class);
+        let Some(path) = assignment else {
+            return Ok(TernaryHv::clipped_sum(&[label, &self.null]));
+        };
+        self.validate_path(class, path)?;
+        let indices = path.indices();
+        let codebooks = (0..indices.len())
+            .map(|depth| self.codebook(class, &indices[..depth]))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut members = Vec::with_capacity(indices.len() + 1);
+        members.push(label);
+        members.extend(
+            codebooks
+                .iter()
+                .zip(indices)
+                .map(|(cb, &index)| cb.item(index as usize)),
+        );
+        Ok(TernaryHv::clipped_sum(&members))
     }
 
     /// The item hypervector addressed by `path` in class `class`.
@@ -635,7 +584,7 @@ impl fmt::Debug for Taxonomy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdc::rng_from_seed;
+    use hdc::{rng_from_seed, AccumHv};
 
     fn small_taxonomy() -> Taxonomy {
         TaxonomyBuilder::new(512)
@@ -827,12 +776,11 @@ mod tests {
     }
 
     #[test]
-    fn clause_cached_and_correct() {
+    fn clause_matches_clipped_accumulation() {
         let t = small_taxonomy();
         let path = ItemPath::new(vec![3, 1]);
         let a = t.clause(0, Some(&path)).unwrap();
-        let b = t.clause(0, Some(&path)).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(a, t.clause(0, Some(&path)).unwrap());
         // Matches the from-scratch construction.
         let mut acc = AccumHv::zeros(512);
         let l1 = t.item_hv(0, &ItemPath::top(3)).unwrap();
@@ -840,7 +788,7 @@ mod tests {
         acc.add_bipolar(t.label(0), 1);
         acc.add_bipolar(&l1, 1);
         acc.add_bipolar(&l2, 1);
-        assert_eq!(a.as_ref(), &acc.clip_ternary());
+        assert_eq!(a, acc.clip_ternary());
         // Absent clause bundles NULL.
         let absent = t.clause(1, None).unwrap();
         assert!(absent.sim_bipolar(t.null_hv()) > 0.4);
@@ -850,25 +798,29 @@ mod tests {
     }
 
     #[test]
-    fn set_codebook_invalidates_cached_clauses() {
+    fn clause_reflects_replaced_codebook() {
         let t = small_taxonomy();
         let before = t.clause(1, Some(&ItemPath::top(3))).unwrap();
         let untouched = t.clause(2, Some(&ItemPath::top(0))).unwrap();
-        t.set_codebook(1, &[], Codebook::derive(0xFEED, 8, 512))
-            .unwrap();
+        let generation = t.codebook_generation();
+        let replacement = Codebook::derive(0xFEED, 8, 512);
+        t.set_codebook(1, &[], replacement.clone()).unwrap();
+        assert_eq!(t.codebook_generation(), generation + 1);
         let after = t.clause(1, Some(&ItemPath::top(3))).unwrap();
-        assert_ne!(before.as_ref(), after.as_ref(), "stale clause served");
-        // Other classes keep their cached clauses.
-        let untouched_after = t.clause(2, Some(&ItemPath::top(0))).unwrap();
-        assert!(Arc::ptr_eq(&untouched, &untouched_after));
+        assert_ne!(before, after, "stale clause served");
+        let mut acc = AccumHv::zeros(512);
+        acc.add_bipolar(t.label(1), 1);
+        acc.add_bipolar(replacement.item(3), 1);
+        assert_eq!(after, acc.clip_ternary());
+        // Other classes are unaffected.
+        assert_eq!(untouched, t.clause(2, Some(&ItemPath::top(0))).unwrap());
     }
 
     #[test]
     fn concurrent_set_codebook_never_leaves_stale_clause() {
         // Threads hammer `clause()` while the main thread swaps the
-        // class's codebook; once the swap is done, the cached clause must
-        // reflect the replacement (an in-flight pre-swap computation must
-        // not resurrect itself into the cache).
+        // class's codebook; once the swap is done, the clause must
+        // reflect the final replacement.
         let t = small_taxonomy();
         let path = ItemPath::top(3);
         std::thread::scope(|scope| {
@@ -892,8 +844,8 @@ mod tests {
             .set_codebook(1, &[], Codebook::derive(49, 8, 512))
             .unwrap();
         assert_eq!(
-            t.clause(1, Some(&path)).unwrap().as_ref(),
-            reference.clause(1, Some(&path)).unwrap().as_ref()
+            t.clause(1, Some(&path)).unwrap(),
+            reference.clause(1, Some(&path)).unwrap()
         );
     }
 

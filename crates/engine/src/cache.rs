@@ -4,8 +4,9 @@
 use factorhd_core::{Encoder, FactorHdError, ObjectSpec, ReconstructionCache};
 use hdc::TernaryHv;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// Counters describing how a cache has been used.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -22,25 +23,31 @@ pub struct CacheStats {
 
 /// A least-recently-used map with explicit capacity.
 ///
-/// Entries carry a monotonically increasing access stamp; eviction scans
-/// for the stale minimum. The scan is `O(capacity)`, which is fine for
-/// the engine's small, fixed capacities — no dependency on an external
-/// LRU crate (the build environment has none).
+/// Every access stamps its entry with a fresh tick from a monotonically
+/// increasing counter, and a tick-ordered index beside the map keeps the
+/// entries in exact recency order, so a lookup refresh and an eviction
+/// each cost `O(log capacity)` — no dependency on an external LRU crate
+/// (the build environment has none). Both indexes share one `Arc` per
+/// key instead of holding two deep copies.
 #[derive(Debug)]
 pub struct LruCache<K, V> {
-    map: HashMap<K, (V, u64)>,
+    map: HashMap<Arc<K>, (V, u64)>,
+    /// `tick → key` for every resident entry; the first is the least
+    /// recently used.
+    order: BTreeMap<u64, Arc<K>>,
     tick: u64,
     capacity: usize,
     hits: u64,
     misses: u64,
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
+impl<K: Eq + Hash, V: Clone> LruCache<K, V> {
     /// Creates a cache holding at most `capacity` entries (0 disables
     /// caching: every lookup misses and inserts are dropped).
     pub fn new(capacity: usize) -> Self {
         LruCache {
             map: HashMap::with_capacity(capacity.min(1024)),
+            order: BTreeMap::new(),
             tick: 0,
             capacity,
             hits: 0,
@@ -53,6 +60,11 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.tick += 1;
         match self.map.get_mut(key) {
             Some((value, stamp)) => {
+                let key = self
+                    .order
+                    .remove(stamp)
+                    .expect("resident entries are indexed");
+                self.order.insert(self.tick, key);
                 *stamp = self.tick;
                 self.hits += 1;
                 Some(value.clone())
@@ -71,16 +83,15 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             return;
         }
         self.tick += 1;
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            if let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone())
-            {
+        if let Some((_, stamp)) = self.map.get(&key) {
+            self.order.remove(stamp);
+        } else if self.map.len() >= self.capacity {
+            if let Some((_, oldest)) = self.order.pop_first() {
                 self.map.remove(&oldest);
             }
         }
+        let key = Arc::new(key);
+        self.order.insert(self.tick, Arc::clone(&key));
         self.map.insert(key, (value, self.tick));
     }
 
@@ -115,8 +126,6 @@ struct ReconCacheInner {
     cache: LruCache<ObjectSpec, Arc<TernaryHv>>,
     generation: u64,
 }
-
-use std::sync::Arc;
 
 impl ReconCache {
     /// Creates a reconstruction memo holding at most `capacity` objects.

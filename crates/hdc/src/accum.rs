@@ -5,7 +5,7 @@
 //! scene representation and all intermediate unbinding results live here.
 
 use crate::ops::{Bind, Bundle, Permute};
-use crate::{BipolarHv, TernaryHv, WORD_BITS};
+use crate::{full_word, BipolarHv, TernaryHv, WORD_BITS};
 use std::fmt;
 
 /// An integer-valued hypervector in `Z^D`, the bundling accumulator.
@@ -123,8 +123,24 @@ impl AccumHv {
             self.dim,
             rhs.dim()
         );
-        for i in 0..self.dim {
-            self.data[i] += weight * rhs.component(i) as i32;
+        let signs = rhs.sign_words();
+        let mask = rhs.mask_words();
+        let dim = self.dim;
+        for (w_idx, chunk) in self.data.chunks_mut(WORD_BITS).enumerate() {
+            // Walk the set bits of each word: sign bits are clear under
+            // zero components, so `negative` marks the -1 lanes and
+            // `positive` the +1 lanes.
+            let negative = signs[w_idx];
+            let mut positive = mask.map_or(full_word(dim, w_idx), |m| m[w_idx]) & !negative;
+            while positive != 0 {
+                chunk[positive.trailing_zeros() as usize] += weight;
+                positive &= positive - 1;
+            }
+            let mut negative = negative;
+            while negative != 0 {
+                chunk[negative.trailing_zeros() as usize] -= weight;
+                negative &= negative - 1;
+            }
         }
     }
 
@@ -144,8 +160,7 @@ impl AccumHv {
         }
     }
 
-    /// Subtracts another accumulator in place (used by the Rep-3
-    /// reconstruct-and-exclude loop).
+    /// Subtracts another accumulator in place.
     ///
     /// # Panics
     ///

@@ -418,13 +418,10 @@ impl Codebook {
     /// Clips each item's bundle with `others` — utility for building
     /// clause-like structures in tests.
     pub fn bundle_with(&self, index: usize, others: &[&BipolarHv]) -> Result<TernaryHv, HdcError> {
-        let item = self.get(index)?;
-        let mut acc = AccumHv::zeros(self.dim);
-        acc.add_bipolar(item, 1);
-        for other in others {
-            acc.add_bipolar(other, 1);
-        }
-        Ok(acc.clip_ternary())
+        let mut members = Vec::with_capacity(others.len() + 1);
+        members.push(self.get(index)?);
+        members.extend_from_slice(others);
+        Ok(TernaryHv::clipped_sum(&members))
     }
 }
 

@@ -555,6 +555,128 @@ impl PackedHv {
             .collect();
         PackedHv::pack(&products, |v| (v < 0, v.unsigned_abs()))
     }
+
+    /// Adds a bipolar vector in place (the word-parallel
+    /// [`AccumHv::add_bipolar`] with weight 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ.
+    pub fn add_bipolar(&mut self, rhs: &BipolarHv) {
+        self.add_unit(rhs.dim(), rhs.words(), None, false);
+    }
+
+    /// Subtracts a bipolar vector in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ.
+    pub fn sub_bipolar(&mut self, rhs: &BipolarHv) {
+        self.add_unit(rhs.dim(), rhs.words(), None, true);
+    }
+
+    /// Adds a ternary vector in place (the word-parallel
+    /// [`AccumHv::add_ternary`] with weight 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ.
+    pub fn add_ternary(&mut self, rhs: &TernaryHv) {
+        self.add_unit(rhs.dim(), rhs.sign_words(), rhs.mask_words(), false);
+    }
+
+    /// Subtracts a ternary vector in place: the reconstruct-and-exclude
+    /// step of Rep-3 factorization, run on the residual's bit-planes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ.
+    pub fn sub_ternary(&mut self, rhs: &TernaryHv) {
+        self.add_unit(rhs.dim(), rhs.sign_words(), rhs.mask_words(), true);
+    }
+
+    /// Adds (or, with `negate`, subtracts) a unit vector given by its
+    /// sign words and non-zero mask (`None` = dense), exactly, on the
+    /// sign-magnitude planes.
+    ///
+    /// Per word, a component whose sign agrees with the unit's (or that
+    /// is zero) grows in magnitude by one and takes the unit's sign; one
+    /// of opposite sign shrinks by one. Both run as one bit-sliced ripple
+    /// over the planes — a carry for the growing lanes, a borrow for the
+    /// shrinking ones (the two lane sets are disjoint) — into one spare
+    /// top plane, and [`PackedHv::canonical`] restores the canonical form
+    /// (trims emptied top planes, clears signs under new zeros, folds a
+    /// full single plane back to dense).
+    fn add_unit(&mut self, dim: usize, unit_sign: &[u64], unit_mask: Option<&[u64]>, negate: bool) {
+        assert_eq!(self.dim, dim, "dimension mismatch: {} vs {}", self.dim, dim);
+        let words = self.sign.len();
+        let mut sign = std::mem::take(&mut self.sign);
+        let mut planes = match self.planes.take() {
+            Some(planes) => planes,
+            None => (0..words).map(|i| full_word(dim, i)).collect(),
+        };
+        let num_planes = planes.len() / words;
+        planes.resize((num_planes + 1) * words, 0);
+        let flip = if negate { u64::MAX } else { 0 };
+        for i in 0..words {
+            let active = unit_mask.map_or(full_word(dim, i), |mask| mask[i]);
+            let unit_neg = (unit_sign[i] ^ flip) & active;
+            let nonzero = (0..num_planes).fold(0, |acc, p| acc | planes[p * words + i]);
+            let shrink = active & nonzero & (sign[i] ^ unit_neg);
+            let grow = active & !shrink;
+            let (mut carry, mut borrow) = (grow, shrink);
+            for p in 0..=num_planes {
+                let bit = planes[p * words + i];
+                planes[p * words + i] = bit ^ carry ^ borrow;
+                carry &= bit;
+                borrow &= !bit;
+            }
+            sign[i] = (sign[i] & !grow) | (unit_neg & grow);
+        }
+        *self = PackedHv::canonical(sign, planes, dim);
+    }
+
+    /// Euclidean norm of the components, bit-identical to
+    /// [`AccumHv::norm`] over the same components.
+    ///
+    /// The sum of squares comes from plane popcounts,
+    /// `Σ v_i² = Σ_{p,q} 2^{p+q} · popcount(plane_p & plane_q)`, as an
+    /// exact integer. [`AccumHv::norm`] sums `v_i²` in `f64` in index
+    /// order; every term and every partial sum is a non-negative integer
+    /// no larger than the total, so while the total is below `2^53`
+    /// each of them is exactly representable, every addition is exact,
+    /// and the reference's `f64` sum equals the exact total. At or above
+    /// `2^53` rounding depends on the summation order, so the norm
+    /// replays the reference's index-order `f64` sum instead.
+    pub fn norm(&self) -> f64 {
+        match self.sum_of_squares() {
+            Some(total) if total < 1 << 53 => (total as f64).sqrt(),
+            _ => (0..self.dim)
+                .map(|i| {
+                    let v = self.component(i) as f64;
+                    v * v
+                })
+                .sum::<f64>()
+                .sqrt(),
+        }
+    }
+
+    /// `Σ v_i²` from plane popcounts, or `None` if it overflows `u128`.
+    fn sum_of_squares(&self) -> Option<u128> {
+        let planes = self.plane_count();
+        let mut total = 0u128;
+        for p in 0..planes {
+            for q in p..planes {
+                let ones: u64 = (0..self.sign.len())
+                    .map(|i| (self.plane_word(p, i) & self.plane_word(q, i)).count_ones() as u64)
+                    .sum();
+                let pairs = if p == q { 1u128 } else { 2 };
+                let weight = 1u128.checked_shl((p + q) as u32)?.checked_mul(pairs)?;
+                total = total.checked_add((ones as u128).checked_mul(weight)?)?;
+            }
+        }
+        Some(total)
+    }
 }
 
 impl Bind for PackedHv {

@@ -7,12 +7,15 @@
 //! carries their sign (set bit ⇔ `-1`). Sign bits under a cleared mask bit
 //! are kept at zero so equal vectors are bit-identical. A vector with no
 //! zero component (any clause bundling an odd number of members) stores
-//! no mask plane at all, halving its footprint in the clause and
-//! reconstruction caches.
+//! no mask plane at all, halving its footprint in the reconstruction
+//! cache.
 
 use crate::ops::{Bind, Bundle, Permute};
 use crate::{clear_padding, full_word, words_for, AccumHv, BipolarHv, HdcError, WORD_BITS};
 use std::fmt;
+
+/// Words per block of [`TernaryHv::clipped_sum`]'s bit-sliced counter.
+const CLIP_BLOCK: usize = 8;
 
 /// A ternary hypervector in `{-1, 0, +1}^D`.
 ///
@@ -120,6 +123,98 @@ impl TernaryHv {
             }
         }
         Ok(hv.canonical())
+    }
+
+    /// `clip(Σ members)` into `{-1, 0, 1}` — a FactorHD clause, e.g.
+    /// `clip(LABEL + Σ path items)` — computed word-parallel: a
+    /// bit-sliced count of the members' sign bits, compared against half
+    /// the member count. A component is `-1` where more than half the
+    /// members are negative, `0` where exactly half are (only possible
+    /// for an even count), and `+1` otherwise. Bit-identical to
+    /// accumulating the members into an [`AccumHv`] and calling
+    /// [`AccumHv::clip_ternary`].
+    ///
+    /// ```
+    /// use hdc::{AccumHv, BipolarHv, TernaryHv};
+    /// use rand::SeedableRng;
+    ///
+    /// let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+    /// let members: Vec<BipolarHv> = (0..3).map(|_| BipolarHv::random(300, &mut rng)).collect();
+    /// let mut acc = AccumHv::zeros(300);
+    /// for m in &members {
+    ///     acc.add_bipolar(m, 1);
+    /// }
+    /// let refs: Vec<&BipolarHv> = members.iter().collect();
+    /// assert_eq!(TernaryHv::clipped_sum(&refs), acc.clip_ternary());
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` is empty or the dimensions differ.
+    pub fn clipped_sum(members: &[&BipolarHv]) -> TernaryHv {
+        let dim = members.first().expect("at least one member").dim();
+        for member in members {
+            assert_eq!(
+                dim,
+                member.dim(),
+                "dimension mismatch: {} vs {}",
+                dim,
+                member.dim()
+            );
+        }
+        let half = members.len() / 2;
+        let even = members.len().is_multiple_of(2);
+        let bits = (usize::BITS - members.len().leading_zeros()) as usize;
+        let words = words_for(dim);
+        let mut sign = vec![0u64; words];
+        let mut mask = if even { vec![0u64; words] } else { Vec::new() };
+        // Lane counters, bit-sliced: `counter[b][k]` holds bit `b` of the
+        // negative-member count of every lane of word `start + k`. Blocks
+        // of CLIP_BLOCK words keep the inner loops fixed-length.
+        let mut counter = [[0u64; CLIP_BLOCK]; usize::BITS as usize];
+        let counter = &mut counter[..bits];
+        for start in (0..words).step_by(CLIP_BLOCK) {
+            let len = CLIP_BLOCK.min(words - start);
+            counter.fill([0; CLIP_BLOCK]);
+            for member in members {
+                // Ripple-add one sign bit per lane.
+                let mut carry = [0u64; CLIP_BLOCK];
+                carry[..len].copy_from_slice(&member.words()[start..start + len]);
+                for c in counter.iter_mut() {
+                    for k in 0..CLIP_BLOCK {
+                        let next = c[k] & carry[k];
+                        c[k] ^= carry[k];
+                        carry[k] = next;
+                    }
+                }
+            }
+            // Lane-wise `count > half` and `count == half`, MSB first.
+            let mut above = [0u64; CLIP_BLOCK];
+            let mut equal = [u64::MAX; CLIP_BLOCK];
+            for (b, c) in counter.iter().enumerate().rev() {
+                let half_bit = half >> b & 1 == 1;
+                for k in 0..CLIP_BLOCK {
+                    if half_bit {
+                        equal[k] &= c[k];
+                    } else {
+                        above[k] |= equal[k] & c[k];
+                        equal[k] &= !c[k];
+                    }
+                }
+            }
+            sign[start..start + len].copy_from_slice(&above[..len]);
+            if even {
+                for k in 0..len {
+                    mask[start + k] = !equal[k];
+                }
+            }
+        }
+        if even {
+            TernaryHv::from_planes(mask, sign, dim)
+        } else {
+            // An odd count never ties: every component is non-zero.
+            TernaryHv { mask, sign, dim }
+        }
     }
 
     /// The dimensionality `D`.

@@ -431,3 +431,200 @@ proptest! {
         prop_assert_eq!(v.dot(&v), 65);
     }
 }
+
+// ----------------------------------------------------------------------
+// In-place arithmetic on the packed planes, the word-parallel clause
+// builder and the word-parallel accumulator update, each against its
+// scalar reference.
+// ----------------------------------------------------------------------
+
+/// Operand `pick` of a small pool, so sequences revisit the same vectors
+/// and magnitudes climb and fall: two bipolar vectors, a half-density
+/// clause, a dense ternary vector and the all-zero ternary vector.
+enum Operand {
+    Bipolar(BipolarHv),
+    Ternary(TernaryHv),
+}
+
+fn operand_pool(dim: usize, seed: u64) -> Vec<Operand> {
+    let mut rng = rng_from_seed(seed);
+    let a = BipolarHv::random(dim, &mut rng);
+    let b = BipolarHv::random(dim, &mut rng);
+    let clause = a.bundle(&b).clip_ternary();
+    let dense = BipolarHv::random(dim, &mut rng).to_ternary();
+    vec![
+        Operand::Bipolar(a),
+        Operand::Bipolar(b),
+        Operand::Ternary(clause),
+        Operand::Ternary(dense),
+        Operand::Ternary(TernaryHv::zeros(dim)),
+    ]
+}
+
+/// Applies `operand` with sign `add` to both the packed vector and the
+/// `AccumHv` reference.
+fn apply(packed: &mut PackedHv, reference: &mut AccumHv, operand: &Operand, add: bool) {
+    let weight = if add { 1 } else { -1 };
+    match (operand, add) {
+        (Operand::Bipolar(v), true) => packed.add_bipolar(v),
+        (Operand::Bipolar(v), false) => packed.sub_bipolar(v),
+        (Operand::Ternary(t), true) => packed.add_ternary(t),
+        (Operand::Ternary(t), false) => packed.sub_ternary(t),
+    }
+    match operand {
+        Operand::Bipolar(v) => reference.add_bipolar(v, weight),
+        Operand::Ternary(t) => reference.add_ternary(t, weight),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn packed_add_sub_sequences_match_accum_reference(
+        (dim, seed, ops) in arb_dim().prop_flat_map(|d| (
+            Just(d),
+            any::<u64>(),
+            proptest::collection::vec((0usize..5, any::<bool>()), 1..40),
+        ))
+    ) {
+        let pool = operand_pool(dim, seed);
+        let start = accum_family((seed % 3) as u8, dim, seed);
+        let mut packed = PackedHv::from_accum(&start);
+        let mut reference = start;
+        for (step, &(pick, add)) in ops.iter().enumerate() {
+            apply(&mut packed, &mut reference, &pool[pick], add);
+            prop_assert_eq!(&packed, &PackedHv::from_accum(&reference), "step {}", step);
+            prop_assert_eq!(packed.norm().to_bits(), reference.norm().to_bits());
+        }
+    }
+
+    #[test]
+    fn packed_norm_matches_accum_norm((acc, _seed) in arb_accum_case()) {
+        prop_assert_eq!(PackedHv::from_accum(&acc).norm().to_bits(), acc.norm().to_bits());
+    }
+
+    #[test]
+    fn clipped_sum_matches_scalar_clause((dim, seed, depth) in arb_dim().prop_flat_map(|d| (Just(d), any::<u64>(), 0usize..=4))) {
+        // A label plus `depth` path items, like `Taxonomy::clause`.
+        let mut rng = rng_from_seed(seed);
+        let members: Vec<BipolarHv> = (0..=depth).map(|_| BipolarHv::random(dim, &mut rng)).collect();
+        let mut acc = AccumHv::zeros(dim);
+        for m in &members {
+            acc.add_bipolar(m, 1);
+        }
+        let refs: Vec<&BipolarHv> = members.iter().collect();
+        let clause = TernaryHv::clipped_sum(&refs);
+        prop_assert_eq!(&clause, &acc.clip_ternary());
+        if members.len() % 2 == 1 {
+            prop_assert_eq!(clause.nonzero_count(), dim);
+        }
+        for i in 0..dim {
+            // Even counts tie to zero exactly where the members cancel.
+            prop_assert_eq!(clause.component(i) == 0, acc.component(i) == 0);
+        }
+    }
+
+    #[test]
+    fn accum_add_ternary_matches_per_component_reference(
+        (t, weight, seed) in arb_dim().prop_flat_map(|d| (arb_ternary(d), -1000i32..=1000, any::<u64>()))
+    ) {
+        let dim = t.dim();
+        let start = accum_family(1, dim, seed);
+        let mut acc = start.clone();
+        acc.add_ternary(&t, weight);
+        for i in 0..dim {
+            prop_assert_eq!(acc.component(i), start.component(i) + weight * t.component(i) as i32);
+        }
+        acc.sub_ternary(&t);
+        for i in 0..dim {
+            prop_assert_eq!(acc.component(i), start.component(i) + (weight - 1) * t.component(i) as i32);
+        }
+    }
+}
+
+#[test]
+fn packed_arithmetic_walks_every_plane_transition() {
+    // Odd D: the last word carries padding that must stay clear.
+    let dim = 131;
+    let mut rng = rng_from_seed(0xA817);
+    let b = BipolarHv::random(dim, &mut rng);
+    let t = b.bundle(&BipolarHv::random(dim, &mut rng)).clip_ternary();
+    let zero = PackedHv::from_accum(&AccumHv::zeros(dim));
+
+    // All-zero → dense.
+    let mut v = zero.clone();
+    v.add_bipolar(&b);
+    assert!(v.is_dense());
+    assert_eq!(v, PackedHv::from_bipolar(&b));
+    // Carry into a new top plane: every magnitude becomes 2.
+    v.add_bipolar(&b);
+    assert_eq!(v.num_planes(), 2);
+    assert_eq!(v.norm(), (4.0 * dim as f64).sqrt());
+    // Borrow that empties the top plane: back to dense.
+    v.sub_bipolar(&b);
+    assert_eq!(v, PackedHv::from_bipolar(&b));
+    // Dense → all-zero (zero planes, not dense).
+    v.sub_bipolar(&b);
+    assert_eq!(v, zero);
+    assert!(!v.is_dense());
+    assert_eq!(v.norm(), 0.0);
+    // Sign flips through zero.
+    v.sub_bipolar(&b);
+    assert_eq!(v, PackedHv::from_bipolar(&b.negated()));
+    // Dense → ternary → all-zero.
+    let mut u = PackedHv::from_bipolar(&b);
+    u.sub_bipolar(&b);
+    u.add_ternary(&t);
+    assert_eq!(u, PackedHv::from_ternary(&t));
+    assert_eq!(u.num_planes(), 1);
+    u.sub_ternary(&t);
+    assert_eq!(u, zero);
+}
+
+#[test]
+fn packed_norm_replays_the_reference_sum_past_2_pow_53() {
+    // Large magnitudes: terms near 2^62 round in f64, and the total is
+    // far past 2^53, so only the index-order f64 sum reproduces the
+    // reference bit for bit.
+    let mut rng = rng_from_seed(0x2053);
+    for dim in [1usize, 3, 67, 200] {
+        let comps: Vec<i32> = (0..dim)
+            .map(|_| rng.gen_range(i32::MIN..=i32::MAX))
+            .collect();
+        let acc = AccumHv::from_components(comps);
+        assert_eq!(
+            PackedHv::from_accum(&acc).norm().to_bits(),
+            acc.norm().to_bits()
+        );
+    }
+    // Totals straddling 2^53: 2^26 squared is 2^52.
+    for extra in [0, 1, 2] {
+        let mut comps = vec![1 << 26, 1 << 26];
+        comps.extend(std::iter::repeat_n(1, extra));
+        let acc = AccumHv::from_components(comps);
+        assert_eq!(
+            PackedHv::from_accum(&acc).norm().to_bits(),
+            acc.norm().to_bits()
+        );
+    }
+    let extremes = AccumHv::from_components(vec![i32::MIN, i32::MAX, -7, 0]);
+    assert_eq!(
+        PackedHv::from_accum(&extremes).norm().to_bits(),
+        extremes.norm().to_bits()
+    );
+}
+
+#[test]
+fn clipped_sum_of_cancelling_members_is_zero() {
+    let mut rng = rng_from_seed(0xCA7C);
+    let a = BipolarHv::random(77, &mut rng);
+    let b = BipolarHv::random(77, &mut rng);
+    let negated = a.negated();
+    assert_eq!(
+        TernaryHv::clipped_sum(&[&a, &negated]),
+        TernaryHv::zeros(77)
+    );
+    assert_eq!(TernaryHv::clipped_sum(&[&a]), a.to_ternary());
+    assert_eq!(TernaryHv::clipped_sum(&[&a, &b, &negated]), b.to_ternary());
+}
