@@ -19,7 +19,8 @@
 
 use crate::{Encoder, FactorHdError, ItemPath, ObjectSpec, Scene, Taxonomy, ThresholdPolicy};
 use hdc::stage::{Stage, StageTimer};
-use hdc::{AccumHv, Bind, BipolarHv, CodebookScan, PackedHv, Similarity, TernaryHv};
+use hdc::{AccumHv, Bind, BipolarHv, Codebook, CodebookScan, PackedHv, Similarity, TernaryHv};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Builds the per-class label-elimination masks
@@ -212,23 +213,83 @@ impl DecodedScene {
 }
 
 /// Per-class candidate during Rep-3 combination search.
-#[derive(Debug, Clone)]
 struct Candidate {
-    /// `None` = the NULL vector (class absent).
-    path: Option<ItemPath>,
-    /// The candidate's current deepest item vector (NULL for absent).
-    item: BipolarHv,
+    /// The codebook holding the candidate's current deepest item, and the
+    /// item's path as a range of [`Search::paths`]; `None` is the NULL
+    /// vector (class absent). The item is borrowed, never copied.
+    item: Option<(Arc<Codebook>, Range<usize>)>,
     sim: f64,
-    /// Whether this candidate can still descend further levels.
-    exhausted: bool,
 }
 
-/// One beam entry: a partial object (per-class candidates) and its latest
-/// combination similarity.
-#[derive(Debug, Clone)]
+/// One beam entry: a partial object and its latest combination
+/// similarity. Its per-class candidate ids are `f` consecutive entries of
+/// [`Search::slots`] from `slots` on.
+#[derive(Debug, Clone, Copy)]
 struct Combo {
-    slots: Vec<Candidate>,
+    slots: usize,
     sim: f64,
+}
+
+/// The candidates and beam entries of one Algorithm-1 step, kept in flat
+/// arenas: a candidate, a child path or an accepted combination is an
+/// append, not an allocation of its own. A class's choices in a
+/// combination test are a range of candidate ids.
+#[derive(Default)]
+struct Search {
+    /// Every candidate of the step.
+    cands: Vec<Candidate>,
+    /// The candidates' item paths, back to back.
+    paths: Vec<u16>,
+    /// The combinations' candidate ids, one per class each.
+    slots: Vec<usize>,
+}
+
+impl Search {
+    /// Appends a candidate for item `index` of `codebook`, one level below
+    /// candidate `parent` (`None` at level 1).
+    fn push_item(
+        &mut self,
+        parent: Option<usize>,
+        codebook: &Arc<Codebook>,
+        index: usize,
+        sim: f64,
+    ) {
+        let start = self.paths.len();
+        if let Some(range) = parent.and_then(|id| self.path_range(id)) {
+            self.paths.extend_from_within(range);
+        }
+        self.paths.push(index as u16);
+        let item = Some((Arc::clone(codebook), start..self.paths.len()));
+        self.cands.push(Candidate { item, sim });
+    }
+
+    /// Appends a NULL candidate.
+    fn push_null(&mut self, sim: f64) {
+        self.cands.push(Candidate { item: None, sim });
+    }
+
+    /// Where candidate `id`'s item path sits in `paths` (`None` for NULL).
+    fn path_range(&self, id: usize) -> Option<Range<usize>> {
+        self.cands[id].item.as_ref().map(|(_, range)| range.clone())
+    }
+
+    /// Candidate `id`'s item path (`None` for NULL).
+    fn path(&self, id: usize) -> Option<&[u16]> {
+        self.path_range(id).map(|range| &self.paths[range])
+    }
+
+    /// Candidate `id`'s item vector (`null` for NULL).
+    fn item<'s>(&'s self, id: usize, null: &'s BipolarHv) -> &'s BipolarHv {
+        match &self.cands[id].item {
+            Some((codebook, range)) => codebook.item(self.paths[range.end - 1] as usize),
+            None => null,
+        }
+    }
+
+    /// The candidate ids of `combo`, one per class.
+    fn combo_slots(&self, combo: Combo, classes: usize) -> &[usize] {
+        &self.slots[combo.slots..combo.slots + classes]
+    }
 }
 
 /// Factorizes FactorHD scene hypervectors back into objects.
@@ -609,34 +670,45 @@ impl<'a> Factorizer<'a> {
             }
         }
 
-        // Beam over (path, cumulative sim, levels visited). The subclass
-        // scans reuse one hits buffer across levels and beam nodes
+        // Beam over (path, cumulative sim). The beam's paths all have the
+        // current depth and sit back to back in one buffer; a level's
+        // expansions are (beam entry, child, cumulative sim) triples, and
+        // only the survivors' paths are written out. The subclass scans
+        // reuse one hits buffer across levels and beam nodes
         // (zero-allocation scans once the thread's scratch is warm).
-        let mut beam: Vec<(ItemPath, f64)> = top_hits
-            .iter()
-            .map(|hit| (ItemPath::top(hit.index as u16), hit.sim))
-            .collect();
+        let mut depth = 1;
+        let mut paths: Vec<u16> = top_hits.iter().map(|hit| hit.index as u16).collect();
+        let mut cums: Vec<f64> = top_hits.iter().map(|hit| hit.sim).collect();
+        let mut next: Vec<(usize, u16, f64)> = Vec::new();
         let mut child_hits: Vec<hdc::SearchHit> = Vec::new();
         for _level in 1..self.depth_limit(class) {
-            let mut next: Vec<(ItemPath, f64)> = Vec::new();
-            for (path, cum) in &beam {
-                let children = self.taxonomy.codebook(class, path.indices())?;
+            next.clear();
+            for (entry, (path, cum)) in paths.chunks_exact(depth).zip(&cums).enumerate() {
+                let children = self.taxonomy.codebook(class, path)?;
                 unbound.scan_top_k_into(&children, width, &mut child_hits);
                 stats.similarity_checks += children.len() as u64;
-                for hit in &child_hits {
-                    next.push((path.child(hit.index as u16), cum + hit.sim));
-                }
+                next.extend(
+                    child_hits
+                        .iter()
+                        .map(|hit| (entry, hit.index as u16, cum + hit.sim)),
+                );
             }
-            next.sort_by(|a, b| b.1.total_cmp(&a.1));
+            next.sort_by(|a, b| b.2.total_cmp(&a.2));
             next.truncate(width);
-            beam = next;
+            let mut survivors = Vec::with_capacity(next.len() * (depth + 1));
+            for &(entry, child, _) in &next {
+                survivors.extend_from_slice(&paths[entry * depth..(entry + 1) * depth]);
+                survivors.push(child);
+            }
+            paths = survivors;
+            cums.clear();
+            cums.extend(next.iter().map(|&(_, _, cum)| cum));
+            depth += 1;
         }
-        let (path, cum) = beam.into_iter().next().expect("non-empty codebooks");
-        let depth = path.depth() as f64;
         Ok(ClassDecode {
             class,
-            sim: cum / depth,
-            path: Some(path),
+            sim: cums[0] / depth as f64,
+            path: Some(ItemPath::new(paths[..depth].to_vec())),
         })
     }
 
@@ -715,70 +787,69 @@ impl<'a> Factorizer<'a> {
         // `_into` route — a planned batch may already be running this
         // whole decode inside a parallel region, and the scan must not
         // fork again under it.
-        let mut per_class: Vec<Vec<Candidate>> = Vec::with_capacity(f);
+        let mut search = Search::default();
+        let mut per_class: Vec<Range<usize>> = Vec::with_capacity(f);
         let mut hits: Vec<hdc::SearchHit> = Vec::new();
         for (class, unbound_class) in unbound.iter().enumerate() {
             let top = self.taxonomy.codebook(class, &[])?;
             unbound_class.scan_above_threshold_into(&top, th, &mut hits);
             stats.similarity_checks += top.len() as u64;
-            let mut cands: Vec<Candidate> = hits
-                .iter()
-                .map(|hit| Candidate {
-                    path: Some(ItemPath::top(hit.index as u16)),
-                    item: top.item(hit.index).clone(),
-                    sim: hit.sim,
-                    exhausted: self.depth_limit(class) <= 1,
-                })
-                .collect();
+            let first = search.cands.len();
+            for hit in &hits {
+                search.push_item(None, &top, hit.index, hit.sim);
+            }
             if self.config.detect_null {
                 let null_sim = unbound_class.sim_to(self.taxonomy.null_hv());
                 stats.similarity_checks += 1;
                 if null_sim > th {
-                    cands.push(Candidate {
-                        path: None,
-                        item: self.taxonomy.null_hv().clone(),
-                        sim: null_sim,
-                        exhausted: true,
-                    });
+                    search.push_null(null_sim);
                 }
             }
-            if cands.is_empty() {
+            if search.cands.len() == first {
                 return Ok(None);
             }
-            cands.sort_by(|a, b| b.sim.total_cmp(&a.sim));
-            per_class.push(cands);
+            search.cands[first..].sort_by(|a, b| b.sim.total_cmp(&a.sim));
+            per_class.push(first..search.cands.len());
         }
 
         // Level-1 combination tests.
-        let mut beam = self.test_combinations(query, &per_class, th, stats);
+        let mut beam = Vec::new();
+        self.test_combinations(query, &per_class, th, stats, &mut search, &mut beam);
         if beam.is_empty() {
             return Ok(None);
         }
         beam.truncate(self.config.beam_width);
 
-        // Level descent: refine every non-exhausted class of every beam
-        // entry, re-testing combinations at each level.
+        // Level descent: refine every refinable class of every beam entry,
+        // re-testing combinations at each level.
         let max_depth = (0..f).map(|c| self.depth_limit(c)).max().unwrap_or(1);
+        let mut next_beam = Vec::new();
         for level in 1..max_depth {
-            let mut next_beam: Vec<Combo> = Vec::new();
-            for combo in &beam {
-                let refined = self.descend_combo(query, &unbound, combo, level, th, stats)?;
-                next_beam.extend(refined);
+            next_beam.clear();
+            for &combo in &beam {
+                if let Some(choices) =
+                    self.refine_combo(&unbound, combo, level, th, stats, &mut search)?
+                {
+                    self.test_combinations(query, &choices, th, stats, &mut search, &mut next_beam);
+                }
             }
             if next_beam.is_empty() {
                 return Ok(None);
             }
             next_beam.sort_by(|a, b| b.sim.total_cmp(&a.sim));
             next_beam.truncate(self.config.beam_width);
-            beam = next_beam;
+            std::mem::swap(&mut beam, &mut next_beam);
         }
 
         // Final acceptance: the candidate's full clause reconstruction must
         // explain one object's worth of the residual. A true object scores
         // ~ρ (its density product); any single-item miss scores ≤ ρ/2.
         for combo in beam {
-            let assignments: Vec<Option<ItemPath>> =
-                combo.slots.iter().map(|c| c.path.clone()).collect();
+            let assignments: Vec<Option<ItemPath>> = search
+                .combo_slots(combo, f)
+                .iter()
+                .map(|&id| search.path(id).map(|path| ItemPath::new(path.to_vec())))
+                .collect();
             let object = ObjectSpec::new(assignments);
             let reconstruction = self.reconstruct(&object)?;
             let rho = reconstruction.density().max(f64::MIN_POSITIVE);
@@ -795,92 +866,90 @@ impl<'a> Factorizer<'a> {
         Ok(None)
     }
 
-    /// Expands one beam entry one level deeper: candidate children per
-    /// refinable class (similarity > `th` against that class's unbound
-    /// vector), then combination re-testing.
-    fn descend_combo(
+    /// Expands one beam entry one level deeper: the candidate children
+    /// of each refinable class (similarity > `th` against that class's
+    /// unbound vector), as per-class choices for a combination test, or
+    /// `None` when a refinable class has no child above `th`. A class is
+    /// refinable when its candidate is an item at depth `level` and the
+    /// class has a level below it; any other class keeps its candidate.
+    fn refine_combo(
         &self,
-        residual: &PackedHv,
         unbound: &[PackedHv],
-        combo: &Combo,
+        combo: Combo,
         level: usize,
         th: f64,
         stats: &mut FactorizeStats,
-    ) -> Result<Vec<Combo>, FactorHdError> {
-        let mut per_class: Vec<Vec<Candidate>> = Vec::with_capacity(combo.slots.len());
+        search: &mut Search,
+    ) -> Result<Option<Vec<Range<usize>>>, FactorHdError> {
+        let f = unbound.len();
+        let mut choices: Vec<Range<usize>> = Vec::with_capacity(f);
         // One hits buffer reused across classes, scanned through the
         // explicitly sequential `_into` route (see `find_one_object`).
         let mut hits: Vec<hdc::SearchHit> = Vec::new();
-        for (class, slot) in combo.slots.iter().enumerate() {
-            if slot.exhausted || slot.path.is_none() {
-                per_class.push(vec![slot.clone()]);
-                continue;
-            }
-            let path = slot.path.as_ref().expect("checked above");
-            if path.depth() != level || level >= self.depth_limit(class) {
-                // Already at its final level for this class.
-                let mut done = slot.clone();
-                done.exhausted = true;
-                per_class.push(vec![done]);
-                continue;
-            }
-            let children = self.taxonomy.codebook(class, path.indices())?;
-            unbound[class].scan_above_threshold_into(&children, th, &mut hits);
+        for (class, unbound_class) in unbound.iter().enumerate() {
+            let id = search.combo_slots(combo, f)[class];
+            let children = match search.path(id) {
+                Some(path) if path.len() == level && level < self.depth_limit(class) => {
+                    self.taxonomy.codebook(class, path)?
+                }
+                _ => {
+                    // Already at its final level for this class.
+                    choices.push(id..id + 1);
+                    continue;
+                }
+            };
+            unbound_class.scan_above_threshold_into(&children, th, &mut hits);
             stats.similarity_checks += children.len() as u64;
             if hits.is_empty() {
-                return Ok(Vec::new());
+                return Ok(None);
             }
-            let cands = hits
-                .iter()
-                .map(|hit| {
-                    let child_path = path.child(hit.index as u16);
-                    let exhausted = child_path.depth() >= self.depth_limit(class);
-                    Candidate {
-                        path: Some(child_path),
-                        item: children.item(hit.index).clone(),
-                        sim: hit.sim,
-                        exhausted,
-                    }
-                })
-                .collect();
-            per_class.push(cands);
+            let first = search.cands.len();
+            for hit in &hits {
+                search.push_item(Some(id), &children, hit.index, hit.sim);
+            }
+            choices.push(first..search.cands.len());
         }
-        Ok(self.test_combinations(residual, &per_class, th, stats))
+        Ok(Some(choices))
     }
 
-    /// Binds one candidate per class and keeps combinations whose product
-    /// similarity to `residual` clears `th`, sorted by similarity.
+    /// Binds one candidate per class (`per_class[c]` holds class `c`'s
+    /// candidate ids) and appends the combinations whose product
+    /// similarity to `residual` clears `th` to `out`, sorted by
+    /// similarity.
+    ///
+    /// Each combination is scored in place
+    /// ([`PackedHv::sim_to_product`]): the candidates' items are borrowed
+    /// from their codebooks and their product is never built, so a
+    /// combination test allocates nothing.
     fn test_combinations(
         &self,
         residual: &PackedHv,
-        per_class: &[Vec<Candidate>],
+        per_class: &[Range<usize>],
         th: f64,
         stats: &mut FactorizeStats,
-    ) -> Vec<Combo> {
+        search: &mut Search,
+        out: &mut Vec<Combo>,
+    ) {
         let total: usize = per_class.iter().map(|c| c.len().max(1)).product();
         if total > self.config.max_combinations {
             stats.truncated_combinations = true;
         }
 
-        let mut accepted = Vec::new();
+        let null = self.taxonomy.null_hv();
+        let first = out.len();
         let mut indices = vec![0usize; per_class.len()];
         let mut tested = 0usize;
         'outer: loop {
-            // Build the combination product for the current index vector.
-            let mut product = per_class[0][indices[0]].item.clone();
-            for (class, &idx) in indices.iter().enumerate().skip(1) {
-                product.bind_assign(&per_class[class][idx].item);
-            }
-            let sim = residual.sim_to(&product);
+            let ids = indices.iter().zip(per_class).map(|(&i, c)| c.start + i);
+            let sim = residual.sim_to_product(ids.clone().map(|id| search.item(id, null)));
             stats.combination_tests += 1;
             tested += 1;
             if sim > th {
-                let slots = indices
-                    .iter()
-                    .enumerate()
-                    .map(|(class, &idx)| per_class[class][idx].clone())
-                    .collect();
-                accepted.push(Combo { slots, sim });
+                out.push(Combo {
+                    slots: search.slots.len(),
+                    sim,
+                });
+                search.slots.extend(ids);
             }
             if tested >= self.config.max_combinations {
                 break;
@@ -897,8 +966,7 @@ impl<'a> Factorizer<'a> {
                 }
             }
         }
-        accepted.sort_by(|a, b| b.sim.total_cmp(&a.sim));
-        accepted
+        out[first..].sort_by(|a, b| b.sim.total_cmp(&a.sim));
     }
 }
 

@@ -13,12 +13,10 @@
 
 use crate::{FactorHdError, ItemPath, ObjectSpec, Scene};
 use hdc::{derive_seed, BipolarHv, Codebook, TernaryHv, DEFAULT_SEED};
-use parking_lot::RwLock;
 use rand::Rng;
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// Domain-separation tags for seed derivation.
 const TAG_LABEL: u64 = 0x4C41_4245_4C00_0001;
@@ -130,6 +128,7 @@ impl TaxonomyBuilder {
                     name,
                     label: BipolarHv::random(self.dim, &mut hdc::rng_from_seed(label_seed)),
                     level_sizes,
+                    root: CodebookNode::default(),
                 }
             })
             .collect();
@@ -139,42 +138,83 @@ impl TaxonomyBuilder {
             seed: self.seed,
             null,
             classes,
-            cache: RwLock::new(HashMap::new()),
             generation: AtomicU64::new(0),
-            overrides: RwLock::new(BTreeMap::new()),
         })
     }
 }
 
-#[derive(Debug)]
 struct ClassInfo {
     name: String,
     label: BipolarHv,
     level_sizes: Vec<usize>,
+    /// The codebook tree's root: the slot of the level-1 codebook.
+    root: CodebookNode,
 }
 
-/// Cache of lazily derived codebooks, keyed by `(class, path)`.
-type CodebookCache = RwLock<HashMap<(usize, Vec<u16>), Arc<Codebook>>>;
+/// The codebook slot of one parent path in a class's codebook tree.
+///
+/// A warm lookup is a walk of plain loads: one `OnceLock` read per path
+/// level, then the slot's two `OnceLock`s. It allocates nothing, hashes
+/// nothing and takes no lock. Only a slot that has had a codebook
+/// installed ([`Taxonomy::set_codebook`]) takes its own lock, a shared
+/// read lock, so concurrent readers of that slot do not exclude each
+/// other.
+#[derive(Default)]
+struct CodebookNode {
+    /// The codebook derived from the taxonomy seed, on first use.
+    derived: OnceLock<Arc<Codebook>>,
+    /// The last codebook installed here, which shadows `derived`; empty
+    /// until the first install.
+    installed: OnceLock<RwLock<Arc<Codebook>>>,
+    /// One slot per item of this slot's codebook, allocated on the first
+    /// lookup below it (only where that item has a level below it).
+    children: OnceLock<Box<[CodebookNode]>>,
+}
 
-/// Explicitly installed codebooks (trained prototypes), keyed by
-/// `(class, parent path)`. Kept sorted so model artifacts serialize in a
-/// deterministic order.
-type OverrideMap = RwLock<BTreeMap<(usize, Vec<u16>), Arc<Codebook>>>;
+impl CodebookNode {
+    /// The installed codebook, if any.
+    fn installed(&self) -> Option<Arc<Codebook>> {
+        let slot = self.installed.get()?;
+        Some(Arc::clone(
+            &slot.read().unwrap_or_else(PoisonError::into_inner),
+        ))
+    }
+
+    /// Appends this subtree's installed codebooks to `out`, in
+    /// `(class, parent path)` order: a slot before its children, children
+    /// by index.
+    fn collect_installed(
+        &self,
+        class: usize,
+        path: &mut Vec<u16>,
+        out: &mut Vec<(usize, Vec<u16>, Arc<Codebook>)>,
+    ) {
+        if let Some(cb) = self.installed() {
+            out.push((class, path.clone(), cb));
+        }
+        for (index, child) in self.children.get().into_iter().flatten().enumerate() {
+            path.push(index as u16);
+            child.collect_installed(class, path, out);
+            path.pop();
+        }
+    }
+}
 
 /// The class–subclass symbol space: labels, NULL, and lazily derived item
 /// codebooks for every hierarchy level.
 ///
 /// Construct via [`TaxonomyBuilder`]. Cheap to share across threads
-/// (`&Taxonomy` is `Send + Sync`); codebooks are cached behind a lock.
+/// (`&Taxonomy` is `Send + Sync`). Codebooks live in a per-class tree
+/// indexed by item path, so a warm [`Taxonomy::codebook`] lookup
+/// allocates nothing and, unless a codebook was installed in its slot,
+/// takes no lock.
 pub struct Taxonomy {
     dim: usize,
     seed: u64,
     null: BipolarHv,
     classes: Vec<ClassInfo>,
-    cache: CodebookCache,
     /// Bumped by every [`Taxonomy::set_codebook`].
     generation: AtomicU64,
-    overrides: OverrideMap,
 }
 
 impl Taxonomy {
@@ -342,11 +382,31 @@ impl Taxonomy {
         Ok(info.level_sizes[parent.len()])
     }
 
+    /// The codebook slot of a parent path [`Taxonomy::check_parent`] has
+    /// validated, allocating the child slots it passes on first use.
+    fn node(&self, class: usize, parent: &[u16]) -> &CodebookNode {
+        let info = &self.classes[class];
+        parent
+            .iter()
+            .enumerate()
+            .fold(&info.root, |node, (level, &index)| {
+                let children = node.children.get_or_init(|| {
+                    (0..info.level_sizes[level])
+                        .map(|_| CodebookNode::default())
+                        .collect()
+                });
+                &children[index as usize]
+            })
+    }
+
     /// The codebook of items at the level *below* `parent` in class `class`
     /// (`parent = &[]` gives the level-1 codebook).
     ///
-    /// Codebooks are derived deterministically from the seed and cached; the
-    /// same `(class, parent)` always yields the same `Arc`.
+    /// Codebooks are derived deterministically from the seed on first use
+    /// and kept; the same `(class, parent)` always yields the same `Arc`
+    /// until [`Taxonomy::set_codebook`] installs another. A warm lookup
+    /// allocates nothing; it takes no lock unless the slot holds an
+    /// installed codebook, which it reads under a shared read lock.
     ///
     /// # Errors
     ///
@@ -355,16 +415,16 @@ impl Taxonomy {
     /// or the class has no level below it.
     pub fn codebook(&self, class: usize, parent: &[u16]) -> Result<Arc<Codebook>, FactorHdError> {
         let m = self.check_parent(class, parent)?;
-        let key = (class, parent.to_vec());
-        if let Some(cb) = self.cache.read().get(&key) {
-            return Ok(Arc::clone(cb));
+        let node = self.node(class, parent);
+        if let Some(cb) = node.installed() {
+            return Ok(cb);
         }
-        let mut parts = vec![self.seed, TAG_CODEBOOK, class as u64, parent.len() as u64];
-        parts.extend(parent.iter().map(|&i| i as u64 + 1));
-        let cb = Arc::new(Codebook::derive(derive_seed(&parts), m, self.dim));
-        let mut cache = self.cache.write();
-        let entry = cache.entry(key).or_insert_with(|| Arc::clone(&cb));
-        Ok(Arc::clone(entry))
+        let derived = node.derived.get_or_init(|| {
+            let mut parts = vec![self.seed, TAG_CODEBOOK, class as u64, parent.len() as u64];
+            parts.extend(parent.iter().map(|&i| i as u64 + 1));
+            Arc::new(Codebook::derive(derive_seed(&parts), m, self.dim))
+        });
+        Ok(Arc::clone(derived))
     }
 
     /// Replaces the codebook below `parent` in class `class` with an
@@ -407,12 +467,11 @@ impl Taxonomy {
             });
         }
         let replacement = Arc::new(codebook);
-        self.cache
-            .write()
-            .insert((class, parent.to_vec()), Arc::clone(&replacement));
-        self.overrides
-            .write()
-            .insert((class, parent.to_vec()), replacement);
+        let slot = self
+            .node(class, parent)
+            .installed
+            .get_or_init(|| RwLock::new(Arc::clone(&replacement)));
+        *slot.write().unwrap_or_else(PoisonError::into_inner) = replacement;
         // Bumped only after the replacement is visible: a reader that
         // observes the new generation also observes the new codebook.
         self.generation.fetch_add(1, Ordering::SeqCst);
@@ -432,11 +491,12 @@ impl Taxonomy {
     /// that cannot be re-derived from the seed and therefore must be
     /// persisted by model artifacts.
     pub fn codebook_overrides(&self) -> Vec<(usize, Vec<u16>, Arc<Codebook>)> {
-        self.overrides
-            .read()
-            .iter()
-            .map(|((class, parent), cb)| (*class, parent.clone(), Arc::clone(cb)))
-            .collect()
+        let mut out = Vec::new();
+        for (class, info) in self.classes.iter().enumerate() {
+            info.root
+                .collect_installed(class, &mut Vec::new(), &mut out);
+        }
+        out
     }
 
     /// The clipped clause hypervector of one class:
@@ -769,10 +829,37 @@ mod tests {
             .unwrap();
         let overrides = t.codebook_overrides();
         assert_eq!(overrides.len(), 2);
-        // BTreeMap ordering: (0, [2]) before (1, []).
+        // (class, parent path) order: (0, [2]) before (1, []).
         assert_eq!((overrides[0].0, overrides[0].1.as_slice()), (0, &[2][..]));
         assert_eq!((overrides[1].0, overrides[1].1.as_slice()), (1, &[][..]));
         assert_eq!(overrides[1].2.as_ref(), &replacement);
+    }
+
+    #[test]
+    fn overrides_list_in_path_order_with_the_latest_install() {
+        let t = small_taxonomy();
+        let latest = Codebook::derive(3, 4, 512);
+        t.set_codebook(0, &[5], Codebook::derive(1, 4, 512))
+            .unwrap();
+        t.set_codebook(0, &[2], Codebook::derive(2, 4, 512))
+            .unwrap();
+        t.set_codebook(0, &[], Codebook::derive(4, 8, 512)).unwrap();
+        t.set_codebook(0, &[5], latest.clone()).unwrap();
+        let paths: Vec<(usize, Vec<u16>)> = t
+            .codebook_overrides()
+            .into_iter()
+            .map(|(class, parent, _)| (class, parent))
+            .collect();
+        assert_eq!(paths, vec![(0, vec![]), (0, vec![2]), (0, vec![5])]);
+        // A re-install shadows the earlier one, and lookups see it.
+        assert_eq!(t.codebook_overrides()[2].2.as_ref(), &latest);
+        assert_eq!(t.codebook(0, &[5]).unwrap().as_ref(), &latest);
+        assert_eq!(t.codebook_generation(), 4);
+        // Untouched siblings still derive from the seed.
+        assert_eq!(
+            t.codebook(0, &[3]).unwrap().as_ref(),
+            small_taxonomy().codebook(0, &[3]).unwrap().as_ref()
+        );
     }
 
     #[test]

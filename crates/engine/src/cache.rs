@@ -3,10 +3,9 @@
 
 use factorhd_core::{Encoder, FactorHdError, ObjectSpec, ReconstructionCache};
 use hdc::TernaryHv;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Counters describing how a cache has been used.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -140,13 +139,19 @@ impl ReconCache {
 
     /// Usage counters and occupancy.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().cache.stats()
+        self.lock().cache.stats()
+    }
+
+    /// The memo's lock. A panic while it was held leaves at most a
+    /// half-updated LRU order, so poisoning is recovered, not propagated.
+    fn lock(&self) -> MutexGuard<'_, ReconCacheInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Flushes every entry when `generation` differs from the one the
     /// cache was populated at, then returns the lock guard.
-    fn synced(&self, generation: u64) -> parking_lot::MutexGuard<'_, ReconCacheInner> {
-        let mut inner = self.inner.lock();
+    fn synced(&self, generation: u64) -> MutexGuard<'_, ReconCacheInner> {
+        let mut inner = self.lock();
         if inner.generation != generation {
             let capacity = inner.cache.stats().capacity;
             inner.cache = LruCache::new(capacity);

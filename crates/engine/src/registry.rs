@@ -12,13 +12,12 @@ use crate::metrics::{self, MetricsSnapshot};
 use crate::ops::{AnyOp, AnyOutput, Op, OpKind};
 use crate::plan::execute_batch_planned;
 use crate::{EngineConfig, EngineError, ModelState};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::Read;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The name of a registered model — a cheap-to-clone interned string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -158,6 +157,18 @@ pub struct ModelRegistry {
 }
 
 impl ModelRegistry {
+    /// Shared access to the model table. Each writer changes the table
+    /// with a single map operation, so a poisoned lock is recovered.
+    fn table(&self) -> RwLockReadGuard<'_, HashMap<ModelId, Entry>> {
+        self.models.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access to the model table (poisoning recovered, as in
+    /// [`ModelRegistry::table`]).
+    fn table_mut(&self) -> RwLockWriteGuard<'_, HashMap<ModelId, Entry>> {
+        self.models.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Creates an empty registry.
     pub fn new() -> Self {
         ModelRegistry::default()
@@ -176,7 +187,7 @@ impl ModelRegistry {
         // Stamp and insert under the same write lock: concurrent installs
         // of one id must commit in generation order, or `generation_of`
         // could move backwards while an older state wins the slot.
-        let mut guard = self.models.write();
+        let mut guard = self.table_mut();
         let generation = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         guard.insert(id, Entry { state, generation });
         generation
@@ -216,7 +227,7 @@ impl ModelRegistry {
     /// Removes `id`, returning whether it was present. In-flight handles
     /// keep their state alive; only new lookups fail.
     pub fn remove(&self, id: &str) -> bool {
-        self.models.write().remove(&ModelId::new(id)).is_some()
+        self.table_mut().remove(&ModelId::new(id)).is_some()
     }
 
     /// Resolves `id` to a generation-stamped handle.
@@ -226,7 +237,7 @@ impl ModelRegistry {
     /// [`EngineError::UnknownModel`] when `id` is not installed.
     pub fn get(&self, id: &str) -> Result<ModelHandle, EngineError> {
         let key = ModelId::new(id);
-        let guard = self.models.read();
+        let guard = self.table();
         match guard.get(&key) {
             Some(entry) => Ok(ModelHandle {
                 id: key,
@@ -265,7 +276,7 @@ impl ModelRegistry {
             None => return Err(EngineError::NotTrainable),
             Some(result) => Arc::new(result?),
         };
-        let mut guard = self.models.write();
+        let mut guard = self.table_mut();
         match guard.get_mut(&ModelId::new(id)) {
             Some(entry) if Arc::ptr_eq(&entry.state, handle.state_arc()) => {
                 let generation = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
@@ -291,15 +302,12 @@ impl ModelRegistry {
 
     /// The generation currently installed under `id`, if any.
     pub fn generation_of(&self, id: &str) -> Option<u64> {
-        self.models
-            .read()
-            .get(&ModelId::new(id))
-            .map(|e| e.generation)
+        self.table().get(&ModelId::new(id)).map(|e| e.generation)
     }
 
     /// The installed ids, sorted.
     pub fn ids(&self) -> Vec<ModelId> {
-        let mut ids: Vec<ModelId> = self.models.read().keys().cloned().collect();
+        let mut ids: Vec<ModelId> = self.table().keys().cloned().collect();
         ids.sort();
         ids
     }
@@ -308,8 +316,7 @@ impl ModelRegistry {
     /// name — the payload of the wire protocol's `ListModels` op.
     pub fn models_info(&self) -> Vec<ModelInfo> {
         let mut infos: Vec<ModelInfo> = self
-            .models
-            .read()
+            .table()
             .iter()
             .map(|(id, entry)| ModelInfo {
                 name: id.as_str().to_owned(),
@@ -322,12 +329,12 @@ impl ModelRegistry {
 
     /// Number of installed models.
     pub fn len(&self) -> usize {
-        self.models.read().len()
+        self.table().len()
     }
 
     /// `true` when no model is installed.
     pub fn is_empty(&self) -> bool {
-        self.models.read().is_empty()
+        self.table().is_empty()
     }
 
     /// Runs one typed op against the model currently installed under
@@ -366,7 +373,7 @@ impl ModelRegistry {
         let mut slot_generations: Vec<Option<u64>> = Vec::new();
         let mut registered: Vec<String> = Vec::new();
         {
-            let guard = self.models.read();
+            let guard = self.table();
             for (id, _) in ops {
                 if !slot_of.contains_key(id) {
                     slot_of.insert(id, states.len());

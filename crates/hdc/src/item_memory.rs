@@ -6,13 +6,13 @@
 //! back to the closest named symbol.
 
 use crate::{BipolarHv, HdcError, SearchHit, Similarity};
-use parking_lot::RwLock;
 use rand::Rng;
 use std::collections::HashMap;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// An associative memory mapping symbol names to hypervectors.
 ///
-/// Interior mutability (a [`parking_lot::RwLock`]) lets concurrent readers
+/// Interior mutability (a [`std::sync::RwLock`]) lets concurrent readers
 /// share the memory during parallel experiment trials while new symbols can
 /// still be interned on demand.
 ///
@@ -54,6 +54,18 @@ impl ItemMemory {
         }
     }
 
+    /// Shared access to the store. A panic elsewhere must not take the
+    /// memory down with it, so a poisoned lock is recovered.
+    fn read(&self) -> RwLockReadGuard<'_, Store> {
+        self.store.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access to the store (poisoning recovered, as in
+    /// [`ItemMemory::read`]).
+    fn write(&self) -> RwLockWriteGuard<'_, Store> {
+        self.store.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The hypervector dimension.
     pub fn dim(&self) -> usize {
         self.dim
@@ -61,7 +73,7 @@ impl ItemMemory {
 
     /// Number of stored symbols.
     pub fn len(&self) -> usize {
-        self.store.read().names.len()
+        self.read().names.len()
     }
 
     /// `true` if no symbols are stored.
@@ -75,7 +87,7 @@ impl ItemMemory {
         if let Some(v) = self.get(name) {
             return v;
         }
-        let mut store = self.store.write();
+        let mut store = self.write();
         // Double-check under the write lock (another thread may have won).
         if let Some(&idx) = store.by_name.get(name) {
             return store.vectors[idx].clone();
@@ -101,7 +113,7 @@ impl ItemMemory {
                 right: vector.dim(),
             });
         }
-        let mut store = self.store.write();
+        let mut store = self.write();
         if let Some(&idx) = store.by_name.get(name) {
             store.vectors[idx] = vector;
         } else {
@@ -115,7 +127,7 @@ impl ItemMemory {
 
     /// The stored vector for `name`, if present.
     pub fn get(&self, name: &str) -> Option<BipolarHv> {
-        let store = self.store.read();
+        let store = self.read();
         store
             .by_name
             .get(name)
@@ -152,7 +164,7 @@ impl ItemMemory {
     /// assert!(hit.sim > 0.3);
     /// ```
     pub fn lookup_best<Q: Similarity>(&self, query: &Q) -> Option<(String, SearchHit)> {
-        let store = self.store.read();
+        let store = self.read();
         let mut best: Option<(usize, f64)> = None;
         for (idx, v) in store.vectors.iter().enumerate() {
             let sim = query.sim_to(v);
@@ -165,7 +177,7 @@ impl ItemMemory {
 
     /// All stored symbol names, in insertion order.
     pub fn names(&self) -> Vec<String> {
-        self.store.read().names.clone()
+        self.read().names.clone()
     }
 }
 

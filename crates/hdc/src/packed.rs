@@ -62,6 +62,10 @@ const SHARD_BYTES: usize = 32 * 1024;
 /// rayon pool; smaller scans finish faster than a fork would take.
 const PAR_MIN_WORDS: usize = 1 << 18;
 
+/// Words per stack block of [`PackedHv::sim_to_product`]'s bound
+/// product: a whole `D = 4096` vector in 512 bytes.
+const PRODUCT_BLOCK_WORDS: usize = 64;
+
 /// Queries per register block in the batched multi-query scan: each
 /// L1-sized tile of codebook words is scanned by up to this many queries
 /// before the next tile is touched, so the tile's cache lines (and the
@@ -184,19 +188,23 @@ impl<'a> PackedQuery<'a> {
     }
 
     /// The query's L1 weight `Σ |v_i|` — the non-zero count for bipolar
-    /// and ternary queries (`D` for a dense one).
+    /// and ternary queries (`D` for a dense one). Exact below `2^63`,
+    /// which any accumulator of fewer than `2^32` components stays under;
+    /// only products of two wide accumulators can pass it, and there the
+    /// sum wraps like the dot products scored against it.
     #[inline]
     pub fn l1_weight(&self) -> i64 {
         match self.planes {
             None => self.dim as i64,
-            Some(planes) => planes
-                .chunks_exact(self.sign.len())
-                .enumerate()
-                .map(|(p, plane)| {
-                    let ones: i64 = plane.iter().map(|w| w.count_ones() as i64).sum();
-                    ones << p
-                })
-                .sum(),
+            Some(planes) => {
+                planes
+                    .chunks_exact(self.sign.len())
+                    .enumerate()
+                    .fold(0i64, |acc, (p, plane)| {
+                        let ones: i64 = plane.iter().map(|w| w.count_ones() as i64).sum();
+                        acc.wrapping_add(ones << p)
+                    })
+            }
         }
     }
 
@@ -313,16 +321,15 @@ pub struct PackedHv {
     /// `None` ⇔ fully dense.
     planes: Option<Vec<u64>>,
     dim: usize,
+    /// The L1 weight `Σ |v_i|`, kept with the planes so that scoring
+    /// one vector against many items computes it once.
+    l1: i64,
 }
 
 impl PackedHv {
     /// Packs a dense bipolar vector (no magnitude planes).
     pub fn from_bipolar(hv: &BipolarHv) -> Self {
-        PackedHv {
-            sign: hv.words().to_vec(),
-            planes: None,
-            dim: hv.dim(),
-        }
+        PackedHv::dense(hv.words().to_vec(), hv.dim())
     }
 
     /// Packs a ternary vector: its non-zero mask becomes the single
@@ -330,11 +337,7 @@ impl PackedHv {
     /// is zero, and to zero planes when every component is).
     pub fn from_ternary(hv: &TernaryHv) -> Self {
         match hv.mask_words() {
-            None => PackedHv {
-                sign: hv.sign_words().to_vec(),
-                planes: None,
-                dim: hv.dim(),
-            },
+            None => PackedHv::dense(hv.sign_words().to_vec(), hv.dim()),
             Some(mask) => PackedHv::canonical(hv.sign_words().to_vec(), mask.to_vec(), hv.dim()),
         }
     }
@@ -344,31 +347,8 @@ impl PackedHv {
     /// to 32, for a component at `i32::MIN`). A ternary-valued
     /// accumulator packs to exactly [`PackedHv::from_ternary`]'s form.
     pub fn from_accum(hv: &AccumHv) -> Self {
-        PackedHv::pack(hv.components(), |v| (v < 0, v.unsigned_abs() as u64))
-    }
-
-    /// Packs integer `values` given each one's (negative, magnitude)
-    /// parts: a sign plane plus as many magnitude bit-planes as the
-    /// largest magnitude needs.
-    fn pack<T: Copy>(values: &[T], parts: impl Fn(T) -> (bool, u64)) -> Self {
-        let words = words_for(values.len());
-        let span = values.iter().fold(0u64, |acc, &v| acc | parts(v).1);
-        let num_planes = (u64::BITS - span.leading_zeros()) as usize;
-        let mut sign = vec![0u64; words];
-        let mut planes = vec![0u64; num_planes * words];
-        for (w, chunk) in values.chunks(WORD_BITS).enumerate() {
-            for (b, &v) in chunk.iter().enumerate() {
-                sign[w] |= (parts(v).0 as u64) << b;
-            }
-            for p in 0..num_planes {
-                let mut word = 0u64;
-                for (b, &v) in chunk.iter().enumerate() {
-                    word |= (parts(v).1 >> p & 1) << b;
-                }
-                planes[p * words + w] = word;
-            }
-        }
-        PackedHv::canonical(sign, planes, values.len())
+        let (sign, planes) = pack_planes(hv.components(), |v| (v < 0, v.unsigned_abs()));
+        PackedHv::canonical(sign, planes, hv.dim())
     }
 
     /// Assembles the canonical form from a sign plane and magnitude
@@ -382,11 +362,7 @@ impl PackedHv {
         }
         if planes.len() == words && (0..words).all(|i| planes[i] == full_word(dim, i)) {
             clear_padding(&mut sign, dim);
-            return PackedHv {
-                sign,
-                planes: None,
-                dim,
-            };
+            return PackedHv::dense(sign, dim);
         }
         for (i, s) in sign.iter_mut().enumerate() {
             *s &= planes
@@ -395,10 +371,27 @@ impl PackedHv {
                 .step_by(words)
                 .fold(0, |acc, &w| acc | w);
         }
+        let l1 = PackedQuery {
+            sign: &sign,
+            planes: Some(&planes),
+            dim,
+        }
+        .l1_weight();
         PackedHv {
             sign,
             planes: Some(planes),
             dim,
+            l1,
+        }
+    }
+
+    /// The dense form over `sign` (padding bits already clear).
+    fn dense(sign: Vec<u64>, dim: usize) -> Self {
+        PackedHv {
+            sign,
+            planes: None,
+            dim,
+            l1: dim as i64,
         }
     }
 
@@ -428,7 +421,7 @@ impl PackedHv {
     /// ternary vectors).
     #[inline]
     pub fn l1_weight(&self) -> i64 {
-        self.packed_query().l1_weight()
+        self.l1
     }
 
     /// Number of magnitude planes the plane-wise loops walk: a dense
@@ -519,6 +512,65 @@ impl PackedHv {
         self.dot(rhs) as f64 / self.dim as f64
     }
 
+    /// Normalized dot similarity against the bound product `⊙ items` of
+    /// bipolar vectors, bit-identical to `self.sim_to(&product)`, without
+    /// materializing the product: its words are XORed together one block
+    /// at a time in a stack buffer and scored on the dispatched kernel
+    /// with the stored L1 weight. The product of no items is the all-ones
+    /// vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an item's dimension differs.
+    pub fn sim_to_product<'b, I>(&self, items: I) -> f64
+    where
+        I: IntoIterator<Item = &'b BipolarHv>,
+        I::IntoIter: Clone,
+    {
+        let items = items.into_iter();
+        for item in items.clone() {
+            assert_eq!(
+                self.dim,
+                item.dim(),
+                "dimension mismatch: {} vs {}",
+                self.dim,
+                item.dim()
+            );
+        }
+        let kernel = kernels::selected_kernel();
+        let words = self.sign.len();
+        let mut block = [0u64; PRODUCT_BLOCK_WORDS];
+        let mut neg = 0i64;
+        for start in (0..words).step_by(PRODUCT_BLOCK_WORDS) {
+            let end = (start + PRODUCT_BLOCK_WORDS).min(words);
+            let product = &mut block[..end - start];
+            let mut items = items.clone();
+            match items.next() {
+                None => product.fill(0),
+                Some(first) => {
+                    product.copy_from_slice(&first.words()[start..end]);
+                    for item in items {
+                        for (p, w) in product.iter_mut().zip(&item.words()[start..end]) {
+                            *p ^= w;
+                        }
+                    }
+                }
+            }
+            let sign = &self.sign[start..end];
+            neg += match &self.planes {
+                None => kernel.hamming_words(sign, product) as i64,
+                Some(planes) => planes
+                    .chunks_exact(words)
+                    .enumerate()
+                    .map(|(p, plane)| {
+                        (kernel.masked_hamming_words(sign, &plane[start..end], product) as i64) << p
+                    })
+                    .sum(),
+            };
+        }
+        (self.l1 - 2 * neg) as f64 / self.dim as f64
+    }
+
     /// Number of disagreeing components (any difference in value counts,
     /// including zero versus non-zero).
     ///
@@ -553,7 +605,8 @@ impl PackedHv {
         let products: Vec<i64> = (0..self.dim)
             .map(|i| self.component(i) * rhs.component(i))
             .collect();
-        PackedHv::pack(&products, |v| (v < 0, v.unsigned_abs()))
+        let (sign, planes) = pack_planes(&products, |v| (v < 0, v.unsigned_abs()));
+        PackedHv::canonical(sign, planes, self.dim)
     }
 
     /// Adds a bipolar vector in place (the word-parallel
@@ -679,6 +732,102 @@ impl PackedHv {
     }
 }
 
+/// Transposes integer `values`, given each one's (negative, magnitude)
+/// parts, into a sign plane plus as many magnitude bit-planes as the
+/// largest magnitude needs (plane-major, not yet canonical): the pack
+/// behind [`PackedHv::from_accum`] and the multi-plane [`Bind`].
+///
+/// The transpose runs a word at a time. Each component's code is its
+/// magnitude with the sign as one more bit on top (bit `num_planes`),
+/// cut into byte lanes. For one word's 64 components, a lane is
+/// narrowed into 64 bytes, and [`gather_bit`] turns eight of those
+/// bytes (one `u64` load) into eight bits of a plane word with one
+/// multiply, so a plane word costs eight multiplies instead of 64
+/// shift-or steps. Magnitudes stay in their own width `M` (`u32` for
+/// an accumulator), which keeps the narrowing loop vectorizable.
+fn pack_planes<T: Copy, M: Magnitude>(
+    values: &[T],
+    parts: impl Fn(T) -> (bool, M),
+) -> (Vec<u64>, Vec<u64>) {
+    let words = words_for(values.len());
+    let span = values.iter().fold(M::default(), |acc, &v| acc | parts(v).1);
+    let num_planes = span.bit_len();
+    let code_bits = num_planes + 1;
+    let mut sign = vec![0u64; words];
+    let mut planes = vec![0u64; num_planes * words];
+    let mut bytes = [0u8; WORD_BITS];
+    for (w, chunk) in values.chunks(WORD_BITS).enumerate() {
+        for shift in (0..code_bits).step_by(8) {
+            if num_planes - shift < 8 {
+                // The sign bit lies in this lane.
+                let sign_bit = 1u8 << (num_planes - shift);
+                for (byte, &v) in bytes.iter_mut().zip(chunk) {
+                    let (negative, magnitude) = parts(v);
+                    *byte =
+                        magnitude.lane_byte(shift) | (0u8.wrapping_sub(negative as u8) & sign_bit);
+                }
+            } else {
+                for (byte, &v) in bytes.iter_mut().zip(chunk) {
+                    *byte = parts(v).1.lane_byte(shift);
+                }
+            }
+            bytes[chunk.len()..].fill(0);
+            let groups: [u64; 8] = std::array::from_fn(|g| {
+                u64::from_le_bytes(bytes[8 * g..8 * g + 8].try_into().expect("8 bytes"))
+            });
+            for bit in 0..(code_bits - shift).min(8) {
+                let word = groups
+                    .iter()
+                    .enumerate()
+                    .fold(0, |acc, (g, &x)| acc | gather_bit(x, bit) << (8 * g));
+                match shift + bit {
+                    p if p == num_planes => sign[w] = word,
+                    p => planes[p * words + w] = word,
+                }
+            }
+        }
+    }
+    (sign, planes)
+}
+
+/// Unsigned component magnitudes [`pack_planes`] transposes: `u32`
+/// for accumulators, `u64` for products of two accumulator components.
+trait Magnitude: Copy + Default + std::ops::BitOr<Output = Self> {
+    /// Number of bits up to and including the highest set one.
+    fn bit_len(self) -> usize;
+    /// Bits `shift..shift + 8` (zero once `shift` passes the width).
+    fn lane_byte(self, shift: usize) -> u8;
+}
+
+macro_rules! impl_magnitude {
+    ($($t:ty),*) => {$(
+        impl Magnitude for $t {
+            #[inline(always)]
+            fn bit_len(self) -> usize {
+                (<$t>::BITS - self.leading_zeros()) as usize
+            }
+
+            #[inline(always)]
+            fn lane_byte(self, shift: usize) -> u8 {
+                self.checked_shr(shift as u32).unwrap_or(0) as u8
+            }
+        }
+    )*};
+}
+
+impl_magnitude!(u32, u64);
+
+/// Gathers bit `bit` of each byte of `x` into one byte, byte `j` landing
+/// on bit `j`. After masking, byte `j` holds `b_j ∈ {0, 1}` at bit `8j`;
+/// the multiplier has bits `7k + 7` for `k = 0..8`, so the product places
+/// `b_j` at bits `8j + 7k + 7`. The pair `k = 7 − j` lands on bit `56 + j`
+/// of the top byte, and every pair lands on a distinct bit, so no carry
+/// disturbs it.
+#[inline(always)]
+fn gather_bit(x: u64, bit: usize) -> u64 {
+    ((x >> bit) & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
 impl Bind for PackedHv {
     type Output = PackedHv;
 
@@ -704,13 +853,7 @@ impl Bind for PackedHv {
             (false, false) => return self.bind_components(rhs),
         };
         let planes = match (&wide.planes, &unit.planes) {
-            (None, None) => {
-                return PackedHv {
-                    sign,
-                    planes: None,
-                    dim: self.dim,
-                }
-            }
+            (None, None) => return PackedHv::dense(sign, self.dim),
             (Some(planes), None) => planes.clone(),
             (None, Some(mask)) => mask.clone(),
             // An all-zero `unit` (no plane) zeroes every product plane.
@@ -745,6 +888,7 @@ impl Bind<BipolarHv> for PackedHv {
             sign,
             planes: self.planes.clone(),
             dim: self.dim,
+            l1: self.l1,
         }
     }
 }
@@ -758,9 +902,10 @@ impl Similarity for PackedHv {
             self.dim,
             reference.dim()
         );
-        let query = self.packed_query();
         let kernel = kernels::selected_kernel();
-        query.dot_words(reference.words(), query.l1_weight(), kernel) as f64 / self.dim as f64
+        self.packed_query()
+            .dot_words(reference.words(), self.l1, kernel) as f64
+            / self.dim as f64
     }
 }
 
@@ -1530,6 +1675,77 @@ mod tests {
         for i in 0..130 {
             assert_eq!(bound.component(i), expected.component(i) as i64);
         }
+    }
+
+    #[test]
+    fn multi_plane_bind_packs_exact_products() {
+        // Two multi-plane operands multiply component by component and
+        // pack through the `u64` transpose: products of up to 62 planes,
+        // the sign in its own byte lane past 7 planes, full and partial
+        // last words.
+        use rand::Rng;
+        let mut rng = rng_from_seed(0xFAC7);
+        for dim in [1usize, 63, 64, 65, 200] {
+            for max in [3i32, 127, 128, 70_000, i32::MAX] {
+                let mut a: Vec<i32> = (0..dim).map(|_| rng.gen_range(-max..=max)).collect();
+                let b: Vec<i32> = (0..dim).map(|_| rng.gen_range(-max..=max)).collect();
+                a[dim - 1] = i32::MIN;
+                let product = PackedHv::from_accum(&AccumHv::from_components(a.clone()))
+                    .bind(&PackedHv::from_accum(&AccumHv::from_components(b.clone())));
+                for i in 0..dim {
+                    assert_eq!(
+                        product.component(i),
+                        a[i] as i64 * b[i] as i64,
+                        "dim {dim} max {max} at {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn product_similarity_matches_the_materialized_product() {
+        let mut rng = rng_from_seed(0x9E0D);
+        for dim in [1usize, 63, 130, 4096, 4097 + 64 * 64] {
+            let items: Vec<BipolarHv> = (0..3).map(|_| BipolarHv::random(dim, &mut rng)).collect();
+            let mut bundle = AccumHv::zeros(dim);
+            for item in &items {
+                bundle.add_bipolar(item, 1);
+            }
+            let queries = [
+                PackedHv::from_bipolar(&items[0]),
+                PackedHv::from_ternary(&random_ternary(dim, dim as u64)),
+                PackedHv::from_accum(&bundle),
+                PackedHv::from_accum(&AccumHv::zeros(dim)),
+            ];
+            for query in &queries {
+                assert_eq!(query.l1_weight(), query.packed_query().l1_weight());
+                assert_eq!(
+                    query.sim_to_product([]),
+                    query.sim_to(&BipolarHv::ones(dim))
+                );
+                for n in 1..=3 {
+                    let mut product = items[0].clone();
+                    for item in &items[1..n] {
+                        product.bind_assign(item);
+                    }
+                    assert_eq!(query.sim_to_product(&items[..n]), query.sim_to(&product));
+                    assert_eq!(
+                        query.sim_to_product(&items[..n]),
+                        bundle_sim(query, &product)
+                    );
+                }
+            }
+        }
+    }
+
+    /// The scalar reference similarity of a packed vector, component by
+    /// component.
+    fn bundle_sim(query: &PackedHv, reference: &BipolarHv) -> f64 {
+        let dot: i64 = (0..query.dim())
+            .map(|i| query.component(i) * reference.component(i) as i64)
+            .sum();
+        dot as f64 / query.dim() as f64
     }
 
     #[test]

@@ -275,6 +275,56 @@ fn arb_accum_case() -> impl Strategy<Value = (AccumHv, u64)> {
         .prop_map(|(dim, family, seed)| (accum_family(family, dim, seed), seed))
 }
 
+/// `PackedHv::from_accum` is exact: every component, the L1 weight, the
+/// plane count (the ternary form for ternary values, none for zero) and
+/// the dot and similarity against a bipolar vector.
+fn check_packed_accum_lossless(acc: &AccumHv, seed: u64) {
+    let packed = PackedHv::from_accum(acc);
+    let dim = acc.dim();
+    for i in 0..dim {
+        prop_assert_eq!(packed.component(i), acc.component(i) as i64);
+    }
+    let l1: i64 = acc.components().iter().map(|&v| (v as i64).abs()).sum();
+    prop_assert_eq!(packed.l1_weight(), l1);
+    let span = acc
+        .components()
+        .iter()
+        .fold(0u32, |a, &v| a | v.unsigned_abs());
+    if acc.is_zero() {
+        prop_assert!(!packed.is_dense(), "all-zero must not read as dense");
+        prop_assert_eq!(packed.num_planes(), 0);
+    } else if span == 1 {
+        // Ternary-valued: exactly the ternary packed form.
+        prop_assert_eq!(&packed, &PackedHv::from_ternary(&acc.clip_ternary()));
+    } else {
+        prop_assert_eq!(packed.num_planes(), (32 - span.leading_zeros()) as usize);
+    }
+    let b = BipolarHv::random(dim, &mut rng_from_seed(seed ^ 0xB1B));
+    prop_assert_eq!(packed.dot(&PackedHv::from_bipolar(&b)), acc.dot_bipolar(&b));
+    prop_assert_eq!(packed.sim_to(&b), acc.sim_to(&b));
+}
+
+#[test]
+fn packed_accum_is_lossless_at_the_edges() {
+    // The random cases above reach these only by chance: dimensions that
+    // are not a multiple of 64 (a partial last word), and a component at
+    // `i32::MIN`, whose magnitude 2^31 needs all 32 planes, in the first,
+    // a middle and the last (partial-word) position.
+    for dim in [1usize, 63, 65, 130, 1000, 4097] {
+        for family in 0..5u8 {
+            let seed = dim as u64 * 31 + family as u64;
+            let acc = accum_family(family, dim, seed);
+            check_packed_accum_lossless(&acc, seed);
+            for at in [0, dim / 2, dim - 1] {
+                let mut comps = acc.components().to_vec();
+                comps[at] = i32::MIN;
+                let acc = AccumHv::from_components(comps);
+                check_packed_accum_lossless(&acc, seed);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -285,26 +335,7 @@ proptest! {
 
     #[test]
     fn packed_accum_is_lossless((acc, seed) in arb_accum_case()) {
-        let packed = PackedHv::from_accum(&acc);
-        let dim = acc.dim();
-        for i in 0..dim {
-            prop_assert_eq!(packed.component(i), acc.component(i) as i64);
-        }
-        let l1: i64 = acc.components().iter().map(|&v| (v as i64).abs()).sum();
-        prop_assert_eq!(packed.l1_weight(), l1);
-        let span = acc.components().iter().fold(0u32, |a, &v| a | v.unsigned_abs());
-        if acc.is_zero() {
-            prop_assert!(!packed.is_dense(), "all-zero must not read as dense");
-            prop_assert_eq!(packed.num_planes(), 0);
-        } else if span == 1 {
-            // Ternary-valued: exactly the ternary packed form.
-            prop_assert_eq!(&packed, &PackedHv::from_ternary(&acc.clip_ternary()));
-        } else {
-            prop_assert_eq!(packed.num_planes(), (32 - span.leading_zeros()) as usize);
-        }
-        let b = BipolarHv::random(dim, &mut rng_from_seed(seed ^ 0xB1B));
-        prop_assert_eq!(packed.dot(&PackedHv::from_bipolar(&b)), acc.dot_bipolar(&b));
-        prop_assert_eq!(packed.sim_to(&b), acc.sim_to(&b));
+        check_packed_accum_lossless(&acc, seed);
     }
 
     #[test]

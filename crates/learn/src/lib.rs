@@ -65,7 +65,7 @@ use std::error::Error;
 use std::fmt;
 
 use hdc::{AccumHv, Codebook};
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Default bound on the number of retained examples per model
 /// ([`LearnConfig::max_retained`]).
@@ -512,6 +512,13 @@ impl Learner {
         }
     }
 
+    /// The staging model's lock. Poisoning is recovered, not propagated:
+    /// a panic inside one call (a bug) must not turn every later call on
+    /// this tenant into a panic as well.
+    fn lock(&self) -> MutexGuard<'_, PrototypeModel> {
+        self.model.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Bundles one labelled example; see [`PrototypeModel::observe`].
     pub fn observe(
         &self,
@@ -520,25 +527,25 @@ impl Learner {
         example: &AccumHv,
         retain: bool,
     ) -> Result<TrainAck, LearnError> {
-        self.model.lock().observe(class, sample, example, retain)
+        self.lock().observe(class, sample, example, retain)
     }
 
     /// Runs up to `epochs` retraining passes; see
     /// [`PrototypeModel::retrain`].
     pub fn retrain(&self, epochs: u32) -> RetrainReport {
-        self.model.lock().retrain(epochs)
+        self.lock().retrain(epochs)
     }
 
     /// Snapshots the current prototypes; see
     /// [`PrototypeModel::snapshot`].
     pub fn snapshot(&self) -> Result<PrototypeSnapshot, LearnError> {
-        self.model.lock().snapshot()
+        self.lock().snapshot()
     }
 
     /// Runs `f` with the staging model locked — one lock acquisition
     /// for a whole batch of observations, or for artifact export.
     pub fn with_model<R>(&self, f: impl FnOnce(&mut PrototypeModel) -> R) -> R {
-        f(&mut self.model.lock())
+        f(&mut self.lock())
     }
 }
 

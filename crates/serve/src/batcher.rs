@@ -27,8 +27,7 @@
 //!   already given up, so running the op would only steal capacity from
 //!   requests that still have a waiter.
 //!
-//! The queue uses `std::sync` primitives (the vendored `parking_lot`
-//! shim has no condvar) — one mutex + condvar pair, with the worker
+//! The queue is one `std::sync` mutex + condvar pair, with the worker
 //! sleeping on the condvar while the queue is empty.
 //! Lock poisoning is recovered (`into_inner`): the queue is plain data
 //! that stays structurally valid, and the batcher must keep serving

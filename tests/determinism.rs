@@ -641,3 +641,83 @@ fn rep3_decodes_match_pinned_digest() {
         "251f453777808316 48/48"
     );
 }
+
+/// Folds a recovered path (or NULL) into `hash`.
+fn digest_path(hash: u64, path: Option<&ItemPath>) -> u64 {
+    match path {
+        None => fnv1a(hash, &[0xFF]),
+        Some(path) => {
+            let hash = fnv1a(hash, &[path.depth() as u8]);
+            path.indices()
+                .iter()
+                .fold(hash, |h, i| fnv1a(h, &i.to_le_bytes()))
+        }
+    }
+}
+
+/// Folds a single-object decode into `hash`: every assignment and the
+/// confidence's bit pattern.
+fn digest_object(hash: u64, decoded: &DecodedObject) -> u64 {
+    let hash = decoded
+        .object()
+        .assignments()
+        .iter()
+        .fold(hash, |h, a| digest_path(h, a.as_ref()));
+    fnv1a(hash, &decoded.confidence().to_bits().to_le_bytes())
+}
+
+#[test]
+fn rep2_decodes_match_pinned_digest() {
+    // Fixed-seed Rep-2 queries on the paper-scale 3 × [100, 10]
+    // taxonomy: single objects (some with absent classes) plus two-object
+    // bundles, whose two magnitude planes exercise the multi-plane pack.
+    // Every query goes through the one-at-a-time decode, the grouped
+    // batch decode and a partial decode of classes [2, 0]; the digest
+    // pins every path, every confidence and similarity bit, and was
+    // computed before the accumulator pack and the codebook lookup were
+    // rewritten.
+    let taxonomy = TaxonomyBuilder::new(4096)
+        .seed(0x0D16_E577)
+        .uniform_classes(3, &[100, 10])
+        .build()
+        .expect("valid taxonomy");
+    let encoder = Encoder::new(&taxonomy);
+    let factorizer = Factorizer::new(&taxonomy, FactorizeConfig::default());
+    let mut rng = hdc::rng_from_seed(0x0D16_E578);
+    let mut scenes = Vec::new();
+    let mut queries = Vec::new();
+    for i in 0..48 {
+        let n = if i % 4 == 3 { 2 } else { 1 };
+        let scene = Scene::new(
+            (0..n)
+                .map(|_| taxonomy.sample_object_with_nulls(0.15, &mut rng))
+                .collect(),
+        );
+        queries.push(encoder.encode_scene(&scene).expect("encodable"));
+        scenes.push(scene);
+    }
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut right = 0;
+    for (scene, hv) in scenes.iter().zip(&queries) {
+        let decoded = factorizer.factorize_single(hv).expect("decodable");
+        if scene.len() == 1 {
+            right += (decoded.object() == &scene.objects()[0]) as usize;
+        }
+        hash = digest_object(hash, &decoded);
+        for d in factorizer
+            .factorize_classes(hv, &[2, 0])
+            .expect("decodable")
+        {
+            hash = fnv1a(hash, &[d.class as u8]);
+            hash = digest_path(hash, d.path.as_ref());
+            hash = fnv1a(hash, &d.sim.to_bits().to_le_bytes());
+        }
+    }
+    for group in queries.chunks(12) {
+        let refs: Vec<&AccumHv> = group.iter().collect();
+        for decoded in factorizer.factorize_single_many(&refs) {
+            hash = digest_object(hash, &decoded.expect("decodable"));
+        }
+    }
+    assert_eq!(format!("{hash:016x} {right}/36"), "ecffd87b692e82a7 36/36");
+}
